@@ -10,6 +10,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -155,8 +156,10 @@ class BenchReporter {
         << "\",\"figures\":{";
     for (std::size_t i = 0; i < figures_.size(); ++i) {
       if (i > 0) out << ",";
+      // JSON has no inf/nan: a non-finite figure is written as null.
+      const double v = figures_[i].second;
       out << "\"" << util::json_escape(figures_[i].first)
-          << "\":" << util::fmt("%.17g", figures_[i].second);
+          << "\":" << (std::isfinite(v) ? util::fmt("%.17g", v) : "null");
     }
     out << "},\"notes\":{";
     for (std::size_t i = 0; i < notes_.size(); ++i) {

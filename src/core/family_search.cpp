@@ -1,7 +1,5 @@
 #include "core/family_search.h"
 
-#include <utility>
-
 #include "sharding/enumerate.h"
 #include "sharding/routing.h"
 
@@ -13,14 +11,17 @@ using sharding::ShardingPlan;
 
 namespace {
 
-/// Arena backing score() / evaluate_full_graph(). Deliberately distinct
-/// from cost::tls_cost_arena(): the policies keep a partially staged
-/// batch in the shared arena across stage() calls, and a stray score()
-/// call (baseline policies mix both) must not clobber it.
-cost::CostArena& score_arena() {
-  static thread_local cost::CostArena arena;
-  return arena;
-}
+/// Per-thread routing buffers behind score() / evaluate_full_graph():
+/// both routes of a candidate (replicated-boundary probe, then the
+/// steady-state route) reuse them, so the search allocates nothing per
+/// candidate once capacities settle.
+struct ScoreArena {
+  sharding::RoutingScratch routing;
+  sharding::RoutedPlan probe;   ///< replicated-boundary probe route
+  sharding::RoutedPlan routed;  ///< steady-state (exit-spec) route
+};
+
+thread_local ScoreArena score_arena;
 
 }  // namespace
 
@@ -46,46 +47,30 @@ std::int64_t FamilySearchContext::weight_bytes(
   return total;
 }
 
-bool FamilySearchContext::stage(const ShardingPlan& plan,
-                                const SubgraphFamily& family,
-                                cost::CostArena* arena,
-                                std::int64_t* weight_bytes_out,
-                                SearchStats* stats) const {
-  stats->nodes_visited +=
-      static_cast<std::int64_t>(family.member_nodes.size());
-  // Probe and steady-state route share the arena's routing scratch: the
-  // second route reuses the buffers the first one just warmed, so a
-  // candidate costs zero allocations once capacities settle (this also
-  // retires score()'s old per-candidate RoutedPlan churn).
-  sharding::route_subgraph_into(tg_, plan, family.member_nodes,
-                                sharding::ShardSpec::replicate(), &table_,
-                                &arena->routing, &arena->probe);
-  if (!arena->probe.valid) return false;
-  const auto exit_spec =
-      sharding::subgraph_exit_spec(tg_, arena->probe, family.member_nodes);
-  sharding::route_subgraph_into(tg_, plan, family.member_nodes, exit_spec,
-                                &table_, &arena->routing, &arena->routed);
-  if (!arena->routed.valid) return false;
-  ++stats->cost_queries;
-  cost::CostOptions copts = opts_.cost;
-  copts.overlap_window_s = cost::backward_compute_window(
-      tg_, arena->routed, &family.member_nodes, opts_.num_shards,
-      opts_.cluster, &table_);
-  arena->batch.add_candidate(arena->routed, plan.num_shards, copts);
-  *weight_bytes_out = weight_bytes(family, plan);
-  return true;
-}
-
 bool FamilySearchContext::score(const ShardingPlan& plan,
                                 const SubgraphFamily& family,
                                 FamilyScore* out, SearchStats* stats) const {
-  cost::CostArena& arena = score_arena();
-  arena.batch.reset();
-  std::int64_t wb = 0;
-  if (!stage(plan, family, &arena, &wb, stats)) return false;
-  cost::comm_cost_batch(arena.batch, opts_.cluster, arena.results);
-  out->comm = arena.results[0].total();
-  out->weight_bytes = wb;
+  stats->nodes_visited +=
+      static_cast<std::int64_t>(family.member_nodes.size());
+  ScoreArena& arena = score_arena;
+  sharding::route_subgraph_into(tg_, plan, family.member_nodes,
+                                sharding::ShardSpec::replicate(), &table_,
+                                &arena.routing, &arena.probe);
+  if (!arena.probe.valid) return false;
+  const auto exit_spec =
+      sharding::subgraph_exit_spec(tg_, arena.probe, family.member_nodes);
+  sharding::route_subgraph_into(tg_, plan, family.member_nodes, exit_spec,
+                                &table_, &arena.routing, &arena.routed);
+  if (!arena.routed.valid) return false;
+  ++stats->cost_queries;
+  cost::CostOptions copts = opts_.cost;
+  copts.overlap_window_s = cost::backward_compute_window(
+      tg_, arena.routed, &family.member_nodes, opts_.num_shards,
+      opts_.cluster, &table_);
+  const cost::PlanCost plan_cost =
+      cost::comm_cost(arena.routed, plan.num_shards, opts_.cluster, copts);
+  out->comm = plan_cost.total();
+  out->weight_bytes = weight_bytes(family, plan);
   return true;
 }
 
@@ -93,7 +78,7 @@ bool FamilySearchContext::evaluate_full_graph(const ShardingPlan& plan,
                                               double* cost,
                                               SearchStats* stats) const {
   stats->nodes_visited += static_cast<std::int64_t>(tg_.num_nodes());
-  cost::CostArena& arena = score_arena();
+  ScoreArena& arena = score_arena;
   sharding::route_plan_into(tg_, plan, &table_, &arena.routing,
                             &arena.routed);
   if (!arena.routed.valid) return false;
@@ -111,49 +96,21 @@ FamilySearchOutcome ExhaustivePolicy::search(
   FamilyPlanEnumerator enumerator(ctx.graph(), family,
                                   ctx.options().num_shards);
   ShardingPlan scratch = base;
-  cost::CostArena& arena = cost::tls_cost_arena();
-  arena.batch.reset();
-
-  // Candidates are staged into the batch in enumeration order and the
-  // winner is updated lane by lane at each flush, so the selected choice
-  // (ties break toward the earliest candidate, as better_than is strict)
-  // is identical to the old score-one-at-a-time loop.
-  struct Staged {
-    std::vector<int> choice;
-    std::int64_t weight_bytes = 0;
-  };
-  std::vector<Staged> staged;
-  staged.reserve(cost::kCostBatchWidth);
   FamilyScore best;
-
-  auto flush = [&] {
-    if (arena.batch.empty()) return;
-    cost::comm_cost_batch(arena.batch, ctx.options().cluster, arena.results);
-    for (int l = 0; l < arena.batch.lanes(); ++l) {
-      FamilyScore s;
-      s.comm = arena.results[l].total();
-      s.weight_bytes = staged[static_cast<std::size_t>(l)].weight_bytes;
-      if (!out.found || s.better_than(best)) {
-        out.found = true;
-        best = s;
-        out.choice = std::move(staged[static_cast<std::size_t>(l)].choice);
-      }
-    }
-    staged.clear();
-    arena.batch.reset();
-  };
-
   std::vector<int> choice;
   while (enumerator.next(&choice)) {
     ++out.stats.candidate_plans;
     sharding::apply_family_choice(family, choice, &scratch);
-    std::int64_t wb = 0;
-    if (!ctx.stage(scratch, family, &arena, &wb, &out.stats)) continue;
+    FamilyScore s;
+    if (!ctx.score(scratch, family, &s, &out.stats)) continue;
     ++out.stats.valid_plans;
-    staged.push_back({choice, wb});
-    if (arena.batch.full()) flush();
+    // better_than is strict, so ties keep the earliest candidate.
+    if (!out.found || s.better_than(best)) {
+      out.found = true;
+      best = s;
+      out.choice = choice;
+    }
   }
-  flush();
   return out;
 }
 
@@ -162,48 +119,25 @@ FamilySearchOutcome GreedyPolicy::search(const FamilySearchContext& ctx,
                                          const ShardingPlan& base) const {
   FamilySearchOutcome out;
   ShardingPlan scratch = base;
-  cost::CostArena& arena = cost::tls_cost_arena();
-  arena.batch.reset();
   std::vector<int> choice(family.member_nodes.size(), 0);
-  std::vector<std::pair<int, std::int64_t>> staged;  // (k, weight_bytes)
-  staged.reserve(cost::kCostBatchWidth);
   for (std::size_t j = 0; j < family.member_nodes.size(); ++j) {
     int best_k = 0;
     FamilyScore best_local;
     bool have_local = false;
-
-    auto flush = [&] {
-      if (arena.batch.empty()) return;
-      cost::comm_cost_batch(arena.batch, ctx.options().cluster,
-                            arena.results);
-      for (int l = 0; l < arena.batch.lanes(); ++l) {
-        FamilyScore s;
-        s.comm = arena.results[l].total();
-        s.weight_bytes = staged[static_cast<std::size_t>(l)].second;
-        if (!have_local || s.better_than(best_local)) {
-          have_local = true;
-          best_local = s;
-          best_k = staged[static_cast<std::size_t>(l)].first;
-        }
-      }
-      staged.clear();
-      arena.batch.reset();
-    };
-
     const auto& pats = ctx.table().at(family.member_nodes[j]);
     for (std::size_t k = 0; k < pats.size(); ++k) {
       choice[j] = static_cast<int>(k);
       ++out.stats.candidate_plans;
       sharding::apply_family_choice(family, choice, &scratch);
-      std::int64_t wb = 0;
-      if (!ctx.stage(scratch, family, &arena, &wb, &out.stats)) continue;
+      FamilyScore s;
+      if (!ctx.score(scratch, family, &s, &out.stats)) continue;
       ++out.stats.valid_plans;
-      staged.push_back({static_cast<int>(k), wb});
-      if (arena.batch.full()) flush();
+      if (!have_local || s.better_than(best_local)) {
+        have_local = true;
+        best_local = s;
+        best_k = static_cast<int>(k);
+      }
     }
-    // The member's winner must be known before the next member's
-    // candidates build on it: drain the batch at each member boundary.
-    flush();
     choice[j] = best_k;
     out.found = out.found || have_local;
   }

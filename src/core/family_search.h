@@ -16,7 +16,6 @@
 #pragma once
 
 #include "core/plan_context.h"
-#include "cost/comm_batch.h"
 
 namespace tap::core {
 
@@ -49,27 +48,14 @@ class FamilySearchContext {
 
   /// Steady-state subgraph score of `plan` restricted to `family`
   /// (Algorithm 3 over the members only: route once with a replicated
-  /// boundary to learn the exit layout, then score with boundary = exit).
-  /// Returns false when the candidate does not route. Equivalent to
-  /// stage() + a one-lane comm_cost_batch flush, which is how it is
-  /// implemented (over a thread-local arena separate from
-  /// cost::tls_cost_arena, so calling score mid-batch is safe).
+  /// boundary to learn the exit layout, then route again with
+  /// boundary = exit and cost that route with cost::comm_cost over the
+  /// members' backward-compute overlap window). Both routes reuse a
+  /// thread-local routing scratch, so a candidate allocates nothing once
+  /// capacities settle. Returns false when the candidate does not route.
   bool score(const sharding::ShardingPlan& plan,
              const pruning::SubgraphFamily& family, FamilyScore* out,
              SearchStats* stats) const;
-
-  /// Batched scoring, phase 1: routes `plan` restricted to `family`
-  /// (replicated-boundary probe, then the steady-state route, both
-  /// through `arena`'s reusable buffers — no per-candidate vector churn)
-  /// and stages the routed candidate as the next lane of `arena->batch`.
-  /// The caller owns phase 2: once the batch is full (or enumeration
-  /// ends), cost::comm_cost_batch reduces all staged lanes in one kernel
-  /// pass. Returns false — staging nothing — when the candidate does not
-  /// route; on success `*weight_bytes` receives the tie-break memory
-  /// term for FamilyScore. Precondition: !arena->batch.full().
-  bool stage(const sharding::ShardingPlan& plan,
-             const pruning::SubgraphFamily& family, cost::CostArena* arena,
-             std::int64_t* weight_bytes, SearchStats* stats) const;
 
   /// Full-graph communication cost of `plan` — the O(V+E) cost query the
   /// whole-graph baseline policies issue per trial. Returns false when the

@@ -164,9 +164,13 @@ struct Router {
     // visits each node exactly once with all producers resolved.
     for (GraphNodeId id : scope) {
       const GraphNode& n = tg.node(id);
+      // Table-less routing must build the same pattern lists the search's
+      // table holds, or choice indices name different patterns at dp > 1.
+      if (table == nullptr)
+        scratch.patterns =
+            patterns_for(tg, id, parts, std::max(1, plan.dp_replicas));
       const std::vector<ShardingPattern>& pats =
-          table != nullptr ? table->at(id) : scratch.patterns =
-                                                 patterns_for(tg, id, parts);
+          table != nullptr ? table->at(id) : scratch.patterns;
       int c = plan.choice[static_cast<std::size_t>(id)];
       if (c < 0 || c >= static_cast<int>(pats.size())) {
         return fail(n, "no sharding pattern with index " +

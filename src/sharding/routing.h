@@ -86,7 +86,7 @@ struct RoutedPlan {
 /// second route through the same scratch reuses the capacity, touching
 /// only the entries the previous route dirtied — this is what makes the
 /// planner's per-candidate routing allocation-free in steady state
-/// (cost::CostArena holds one per search thread). Default-constructed
+/// (FamilySearchContext keeps one per search thread). Default-constructed
 /// scratch is valid for any graph.
 struct RoutingScratch {
   std::vector<ir::GraphNodeId> sorted_members;
@@ -123,7 +123,7 @@ RoutedPlan route_subgraph(
 
 /// route_subgraph into caller-owned buffers: `out`'s vectors and
 /// `scratch` are cleared and reused instead of reallocated, so repeated
-/// candidate evaluation (FamilySearchContext::stage) allocates nothing
+/// candidate evaluation (FamilySearchContext::score) allocates nothing
 /// once capacities warm up. `out` must not alias a RoutedPlan reachable
 /// from `scratch`. Results are identical to route_subgraph.
 void route_subgraph_into(const ir::TapGraph& tg, const ShardingPlan& plan,

@@ -4,12 +4,16 @@
 // crash or emit an invalid plan silently.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cctype>
+#include <cstdint>
 
+#include "core/serialize.h"
 #include "core/tap.h"
 #include "ir/lowering.h"
 #include "models/models.h"
 #include "rewrite/rewrite.h"
+#include "sharding/routing.h"
 #include "sim/simulator.h"
 #include "util/check.h"
 
@@ -196,6 +200,49 @@ TEST_P(ZooEndToEnd, PlansValidateAndSimulate) {
   EXPECT_GT(step.memory.total(), 0);
 }
 
+// Routing without a PatternTable must resolve choice indices against the
+// same pattern lists the search's table used, including the batch-split
+// patterns that only exist when dp > 1. Otherwise a plan the search chose
+// routes (and is materialized and simulated) as a different plan.
+class ZooUntabledRouting : public ::testing::TestWithParam<int> {};
+
+TEST_P(ZooUntabledRouting, MatchesTabledRouteAtDpMesh) {
+  const models::ZooEntry entry =
+      models::table1_zoo()[static_cast<std::size_t>(GetParam())];
+  SCOPED_TRACE(entry.model);
+  Graph g = entry.build();
+  ir::TapGraph tg = ir::lower(g);
+  core::TapOptions opts;
+  opts.cluster = cost::ClusterSpec::v100_cluster(4);
+  opts.num_shards = 2;
+  opts.dp_replicas = 16;
+  const core::TapResult r = core::auto_parallel(tg, opts);
+  ASSERT_TRUE(r.routed.valid) << r.routed.error;
+  ASSERT_EQ(r.best_plan.dp_replicas, opts.dp_replicas);
+
+  const sharding::PatternTable table(tg, r.best_plan.num_shards,
+                                     r.best_plan.dp_replicas);
+  const sharding::RoutedPlan tabled =
+      sharding::route_plan(tg, r.best_plan, &table);
+  const sharding::RoutedPlan untabled = sharding::route_plan(tg, r.best_plan);
+  ASSERT_EQ(untabled.valid, tabled.valid) << untabled.error;
+  EXPECT_EQ(untabled.output_spec, tabled.output_spec);
+  EXPECT_EQ(untabled.pattern_index, tabled.pattern_index);
+  ASSERT_EQ(untabled.comms.size(), tabled.comms.size());
+  for (std::size_t i = 0; i < tabled.comms.size(); ++i) {
+    const sharding::CommEvent& a = untabled.comms[i];
+    const sharding::CommEvent& b = tabled.comms[i];
+    EXPECT_EQ(a.kind, b.kind) << i;
+    EXPECT_EQ(a.bytes, b.bytes) << i;
+    EXPECT_EQ(a.count, b.count) << i;
+    EXPECT_EQ(a.phase, b.phase) << i;
+    EXPECT_EQ(a.group, b.group) << i;
+    EXPECT_EQ(a.cross_node, b.cross_node) << i;
+    EXPECT_EQ(a.overlappable, b.overlappable) << i;
+    EXPECT_EQ(a.node, b.node) << i;
+  }
+}
+
 std::string zoo_test_name(const ::testing::TestParamInfo<int>& info) {
   std::string name = models::table1_zoo()[static_cast<std::size_t>(
                          info.param)]
@@ -206,7 +253,43 @@ std::string zoo_test_name(const ::testing::TestParamInfo<int>& info) {
   return out;
 }
 
+class ZooThreadIdentity : public ::testing::TestWithParam<int> {};
+
+TEST_P(ZooThreadIdentity, ThreadsOneAndFourPlansAreByteIdentical) {
+  const models::ZooEntry entry =
+      models::table1_zoo()[static_cast<std::size_t>(GetParam())];
+  SCOPED_TRACE(entry.model);
+  Graph g = entry.build();
+  ir::TapGraph tg = ir::lower(g);
+  core::TapOptions opts;
+  opts.cluster = cost::ClusterSpec::v100_cluster(2);
+  opts.num_shards = 8;
+  opts.dp_replicas = 2;
+
+  // The parallel FamilySearch pass must not change a single cost bit:
+  // any divergence would surface as a different plan byte or cost.
+  opts.threads = 1;
+  const core::TapResult serial = core::auto_parallel(tg, opts);
+  opts.threads = 4;
+  const core::TapResult parallel = core::auto_parallel(tg, opts);
+
+  ASSERT_TRUE(serial.routed.valid) << serial.routed.error;
+  ASSERT_TRUE(parallel.routed.valid) << parallel.routed.error;
+  EXPECT_EQ(core::plan_to_json(tg, serial.best_plan),
+            core::plan_to_json(tg, parallel.best_plan));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.cost.total()),
+            std::bit_cast<std::uint64_t>(parallel.cost.total()));
+  EXPECT_EQ(serial.cost.comm_bytes, parallel.cost.comm_bytes);
+  EXPECT_EQ(serial.candidate_plans, parallel.candidate_plans);
+  EXPECT_EQ(serial.valid_plans, parallel.valid_plans);
+  EXPECT_EQ(serial.cost_queries, parallel.cost_queries);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllTable1Models, ZooEndToEnd,
+                         ::testing::Range(0, 10), zoo_test_name);
+INSTANTIATE_TEST_SUITE_P(AllTable1Models, ZooThreadIdentity,
+                         ::testing::Range(0, 10), zoo_test_name);
+INSTANTIATE_TEST_SUITE_P(AllTable1Models, ZooUntabledRouting,
                          ::testing::Range(0, 10), zoo_test_name);
 
 }  // namespace

@@ -216,6 +216,40 @@ TEST(Routing, FamilyChoiceAppliesToAllInstances) {
   }
 }
 
+TEST(Routing, RouteIntoReusedScratchMatchesFreshRoute) {
+  Fixture f = t5();
+  PatternTable table(f.tg, 8, 1);
+  ShardingPlan plan = default_plan(f.tg, 8);
+
+  RoutingScratch scratch;
+  RoutedPlan reused;
+  // Alternate whole-graph and per-boundary routes through ONE scratch;
+  // every result must match a fresh, scratch-free route.
+  const std::vector<ir::GraphNodeId> all = f.tg.cached_topo_order();
+  for (int round = 0; round < 3; ++round) {
+    route_plan_into(f.tg, plan, &table, &scratch, &reused);
+    RoutedPlan fresh = route_plan(f.tg, plan, &table);
+    ASSERT_EQ(reused.valid, fresh.valid) << fresh.error;
+    ASSERT_EQ(reused.comms.size(), fresh.comms.size());
+    for (std::size_t i = 0; i < fresh.comms.size(); ++i) {
+      EXPECT_EQ(reused.comms[i].kind, fresh.comms[i].kind);
+      EXPECT_EQ(reused.comms[i].bytes, fresh.comms[i].bytes);
+      EXPECT_EQ(reused.comms[i].group, fresh.comms[i].group);
+      EXPECT_EQ(reused.comms[i].node, fresh.comms[i].node);
+    }
+    EXPECT_EQ(reused.output_spec, fresh.output_spec);
+    EXPECT_EQ(reused.pattern_index, fresh.pattern_index);
+
+    route_subgraph_into(f.tg, plan, all, ShardSpec::split(0), &table,
+                        &scratch, &reused);
+    RoutedPlan fresh_sub =
+        route_subgraph(f.tg, plan, all, ShardSpec::split(0), &table);
+    ASSERT_EQ(reused.valid, fresh_sub.valid);
+    EXPECT_EQ(reused.comms.size(), fresh_sub.comms.size());
+    EXPECT_EQ(reused.output_spec, fresh_sub.output_spec);
+  }
+}
+
 TEST(Enumerate, CountsAndExhaustion) {
   Fixture f = t5(1);
   pruning::PruneResult pr = pruning::prune_graph(f.tg);
