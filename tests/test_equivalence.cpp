@@ -3,6 +3,7 @@
 // serially and under sharded plans and require identical outputs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "ir/lowering.h"
@@ -145,10 +146,13 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.shards);
     });
 
+// gtest names each case after the raw bytes of its parameter, so the
+// strings are stored inline and zero-filled rather than as pointers:
+// the name is the same on every run and in every build.
 struct CnnCase {
-  const char* node;
-  const char* pattern;
-  int shards;
+  char node[12];
+  char pattern[11];
+  std::uint8_t shards;
 };
 
 class CnnPatternEquivalence : public ::testing::TestWithParam<CnnCase> {};
