@@ -82,29 +82,6 @@ struct FamilySearchOutcome {
   SearchStats stats;
 };
 
-/// Warm-start hook for incremental replanning (the service tier's
-/// graph-delta path). When PlanContext::warm_start is set, the
-/// FamilySearch pass asks it for a pinned outcome BEFORE dispatching to
-/// the policy; a pinned family skips enumeration entirely and counts
-/// toward PlanProvenance::families_pinned.
-///
-/// The contract that keeps warm-started results bit-identical to a cold
-/// search: pinned() must return exactly the outcome — choice AND stats —
-/// the policy would produce for this (family, options) pair. In practice
-/// that means only outcomes memoized from a previous search of a
-/// structurally identical family under an identical options fingerprint
-/// (service/fingerprint.h: equal family fingerprints under equal option
-/// fingerprints imply an identical FamilySearchOutcome). Implementations
-/// must be thread-safe: the pass probes concurrently for disjoint
-/// families.
-class FamilyWarmStart {
- public:
-  virtual ~FamilyWarmStart() = default;
-  virtual std::optional<FamilySearchOutcome> pinned(
-      const ir::TapGraph& tg, const TapOptions& opts,
-      const pruning::SubgraphFamily& family) const = 0;
-};
-
 class FamilySearchPolicy {
  public:
   virtual ~FamilySearchPolicy() = default;

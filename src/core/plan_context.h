@@ -23,8 +23,6 @@
 
 namespace tap::core {
 
-class FamilyWarmStart;  // core/family_search.h
-
 /// Sentinel for "no valid plan yet" in cost minimization. Every real
 /// communication cost is finite, so infinity orders after every candidate.
 inline constexpr double kInvalidPlanCost =
@@ -121,12 +119,6 @@ struct PlanContext {
   /// Offset added to family ordinals so the mesh sweep can give every
   /// (dp, tp) factorization a disjoint, stable ordinal range.
   std::uint64_t checkpoint_base = 0;
-  /// Optional incremental-replanning hook (core/family_search.h). When
-  /// set, FamilySearch probes it per weighted family and pins any family
-  /// it answers instead of dispatching to the policy. Pinned outcomes
-  /// must be bit-identical to what the policy would produce — see the
-  /// FamilyWarmStart contract — so every downstream pass is unaffected.
-  const FamilyWarmStart* warm_start = nullptr;
 
   // ---- pass outputs -----------------------------------------------------
   std::optional<sharding::PatternTable> table;  ///< BuildPatternTable
@@ -140,8 +132,6 @@ struct PlanContext {
   // ---- anytime bookkeeping (feeds TapResult::provenance) ---------------
   std::int64_t families_searched = 0;  ///< weighted families searched
   std::int64_t families_total = 0;     ///< weighted families in the graph
-  std::int64_t families_pinned = 0;    ///< answered by warm_start, not the
-                                       ///< policy (subset of searched)
   bool cancelled = false;  ///< any checkpoint tripped during this run
 
   const ir::TapGraph& graph() const {

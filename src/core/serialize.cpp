@@ -219,7 +219,10 @@ std::string plan_record_to_json(const ir::TapGraph& tg,
      << record.cost.comm_bytes << "],\n  \"stats\": ["
      << record.stats.candidate_plans << ", " << record.stats.valid_plans
      << ", " << record.stats.nodes_visited << ", "
-     << record.stats.cost_queries << "],\n  \"timings\": [";
+     << record.stats.cost_queries << "],\n  \"coverage\": ["
+     << record.families_searched << ", " << record.families_total << ", "
+     << record.meshes_searched << ", " << record.meshes_total
+     << "],\n  \"timings\": [";
   for (std::size_t i = 0; i < record.timings.size(); ++i) {
     os << (i ? ", " : "") << "[\"" << escape(record.timings[i].pass)
        << "\", " << exact(record.timings[i].seconds) << "]";
@@ -299,6 +302,17 @@ PlanRecord plan_record_from_json(const ir::TapGraph& tg,
   record.stats.nodes_visited = p.int_value();
   p.expect(',');
   record.stats.cost_queries = p.int_value();
+  p.expect(']');
+
+  key("coverage");
+  p.expect('[');
+  record.families_searched = p.int_value();
+  p.expect(',');
+  record.families_total = p.int_value();
+  p.expect(',');
+  record.meshes_searched = p.int_value();
+  p.expect(',');
+  record.meshes_total = p.int_value();
   p.expect(']');
 
   key("timings");

@@ -37,14 +37,15 @@ sharding::ShardingPlan plan_from_json(const ir::TapGraph& tg,
 //
 // A PlanRecord captures everything the PlannerService must return on a
 // cache hit to be bit-identical to a cold search: the pattern choices, the
-// final cost, the search statistics, and the per-pass timings of the run
-// that produced the plan. Unlike the by-name plan JSON above (which is
-// meant to be hand-editable and applied across rebuilds), the record
-// stores pattern choices positionally (one index per GraphNodeId) — a
-// cache hit already guarantees a structurally identical graph with
-// identical deterministic node ids, and positional storage keeps renamed
-// but structurally equal graphs servable. Doubles are written with 17
-// significant digits, so every value round-trips exactly.
+// final cost, the search statistics, the search coverage (families and
+// meshes searched), and the per-pass timings of the run that produced the
+// plan. Unlike the by-name plan JSON above (which is meant to be
+// hand-editable and applied across rebuilds), the record stores pattern
+// choices positionally (one index per GraphNodeId) — a cache hit already
+// guarantees a structurally identical graph with identical deterministic
+// node ids, and positional storage keeps renamed but structurally equal
+// graphs servable. Doubles are written with 17 significant digits, so
+// every value round-trips exactly.
 //
 // The format is versioned: `version` is the FIRST key and readers reject
 // any mismatch before touching the rest of the payload, so cache files
@@ -52,12 +53,18 @@ sharding::ShardingPlan plan_from_json(const ir::TapGraph& tg,
 
 /// Bump whenever PlanRecord's layout OR any planning semantics change
 /// (pattern catalog, cost model, search order) — stale plans must miss.
-inline constexpr int kPlanRecordVersion = 1;
+inline constexpr int kPlanRecordVersion = 2;
 
 struct PlanRecord {
   sharding::ShardingPlan plan;
   cost::PlanCost cost;
   SearchStats stats;
+  /// PlanProvenance coverage of the search. Only complete plans are
+  /// cached, so source, deadline_hit and fallback_reason are implied.
+  std::int64_t families_searched = 0;
+  std::int64_t families_total = 0;
+  std::int64_t meshes_searched = 0;
+  std::int64_t meshes_total = 0;
   std::vector<PassTiming> timings;
   /// Wall time of the cold search that produced the plan.
   double search_seconds = 0.0;

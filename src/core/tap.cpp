@@ -21,10 +21,6 @@ const char* plan_source_name(PlanSource source) {
   return "unknown";
 }
 
-const char* plan_provenance_label(const PlanProvenance& p) {
-  return p.incremental() ? "incremental" : plan_source_name(p.source);
-}
-
 util::CancellationToken cancellation_for(const TapOptions& opts) {
   if (opts.deadline_ms <= 0 && opts.max_checkpoints < 0) return {};
   util::CancellationSource src;
@@ -54,7 +50,6 @@ TapResult context_to_result(PlanContext&& ctx, double elapsed_seconds) {
       ctx.cancelled ? PlanSource::kAnytime : PlanSource::kComplete;
   r.provenance.families_searched = ctx.families_searched;
   r.provenance.families_total = ctx.families_total;
-  r.provenance.families_pinned = ctx.families_pinned;
   r.provenance.meshes_searched = 1;  // fixed mesh; the sweep overwrites
   r.provenance.meshes_total = 1;
   r.provenance.deadline_hit = ctx.cancelled && ctx.cancel.deadline_expired();
@@ -66,8 +61,7 @@ TapResult run_standard(const ir::TapGraph& tg, const TapOptions& opts,
                        const std::shared_ptr<const FamilySearchPolicy>&
                            policy,
                        util::CancellationToken cancel,
-                       std::uint64_t checkpoint_base,
-                       const FamilyWarmStart* warm) {
+                       std::uint64_t checkpoint_base) {
   util::Stopwatch sw;
   PlanContext ctx;
   ctx.tg = &tg;
@@ -75,7 +69,6 @@ TapResult run_standard(const ir::TapGraph& tg, const TapOptions& opts,
   ctx.shared_pruning = shared_pruning;
   ctx.cancel = std::move(cancel);
   ctx.checkpoint_base = checkpoint_base;
-  ctx.warm_start = warm;
   PlannerPipeline::standard(policy).run(ctx);
   return context_to_result(std::move(ctx), sw.elapsed_seconds());
 }
@@ -84,21 +77,19 @@ TapResult run_standard(const ir::TapGraph& tg, const TapOptions& opts,
 
 TapResult auto_parallel(const ir::TapGraph& tg, const TapOptions& opts,
                         std::shared_ptr<const FamilySearchPolicy> policy,
-                        util::CancellationToken cancel,
-                        const FamilyWarmStart* warm) {
+                        util::CancellationToken cancel) {
   TAP_CHECK_GE(opts.num_shards, 1);
   TAP_CHECK_GE(opts.dp_replicas, 1);
   if (!cancel.can_cancel()) cancel = cancellation_for(opts);
   return run_standard(tg, opts, nullptr, policy, std::move(cancel),
-                      /*checkpoint_base=*/0, warm);
+                      /*checkpoint_base=*/0);
 }
 
 TapResult auto_parallel_best_mesh(const ir::TapGraph& tg,
                                   const TapOptions& opts,
                                   std::shared_ptr<const FamilySearchPolicy>
                                       policy,
-                                  util::CancellationToken cancel,
-                                  const FamilyWarmStart* warm) {
+                                  util::CancellationToken cancel) {
   util::Stopwatch sw;
   if (!cancel.can_cancel()) cancel = cancellation_for(opts);
   const int world = opts.cluster.world();
@@ -147,9 +138,8 @@ TapResult auto_parallel_best_mesh(const ir::TapGraph& tg,
     mesh_opts.num_shards = tps[i];
     mesh_opts.dp_replicas = world / tps[i];
     if (tps.size() > 1) mesh_opts.threads = 1;
-    results[i] =
-        run_standard(tg, mesh_opts, &shared_pruning, policy, cancel,
-                     static_cast<std::uint64_t>(i) * stride + 1, warm);
+    results[i] = run_standard(tg, mesh_opts, &shared_pruning, policy, cancel,
+                              static_cast<std::uint64_t>(i) * stride + 1);
     mesh_searched[i] = 1;
   });
 
@@ -173,7 +163,6 @@ TapResult auto_parallel_best_mesh(const ir::TapGraph& tg,
     ++prov.meshes_searched;
     prov.families_searched += r.provenance.families_searched;
     prov.families_total += r.provenance.families_total;
-    prov.families_pinned += r.provenance.families_pinned;
     if (!r.provenance.complete()) prov.source = PlanSource::kAnytime;
     prov.deadline_hit = prov.deadline_hit || r.provenance.deadline_hit;
     candidates += r.candidate_plans;

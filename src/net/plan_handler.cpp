@@ -287,7 +287,7 @@ HttpMessage PlanHandler::handle_plan(const HttpMessage& req,
     obs::set_record_field(rec.served, sizeof rec.served,
                           service::served_name(telem.served));
     obs::set_record_field(rec.provenance, sizeof rec.provenance,
-                          core::plan_provenance_label(result.provenance));
+                          core::plan_source_name(result.provenance.source));
     const std::string& reason = !telem.reason.empty()
                                     ? telem.reason
                                     : result.provenance.fallback_reason;

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/plan_context.h"
 #include "pruning/prune.h"
@@ -100,43 +99,5 @@ struct FingerprintHash {
 /// Builds the key for (graph, options, sweep_mesh).
 PlanKey make_plan_key(const ir::TapGraph& tg, const core::TapOptions& opts,
                       bool sweep_mesh);
-
-/// One family's sub-fingerprint inside a GraphSketch: the family
-/// fingerprint (structure + boundary specs, name-independent), how many
-/// instances the graph folds into it, and whether it has weighted members
-/// (only weighted families are search work — unweighted ones have nothing
-/// to decide and never matter for warm starts).
-struct FamilySubprint {
-  Fingerprint fp;
-  int multiplicity = 0;
-  bool weighted = false;
-
-  friend bool operator==(const FamilySubprint& a, const FamilySubprint& b) {
-    return a.fp == b.fp && a.multiplicity == b.multiplicity &&
-           a.weighted == b.weighted;
-  }
-};
-
-/// Similarity sketch of one planning problem: every pruned family's
-/// sub-fingerprint, sorted by fingerprint (deterministic; duplicate
-/// fingerprints merge by summing multiplicity). Two requests whose
-/// sketches overlap share FamilySearch outcomes — the edit distance
-/// between sketches is exactly the work an incremental replan must redo.
-struct GraphSketch {
-  std::vector<FamilySubprint> families;
-
-  /// Weighted families in the sketch (the search-work denominator).
-  std::size_t weighted_count() const;
-
-  friend bool operator==(const GraphSketch& a, const GraphSketch& b) {
-    return a.families == b.families;
-  }
-};
-
-/// Builds the sketch for `tg` under `pruning` (the same PruneResult the
-/// planner uses; pruning is mesh-independent so one sketch serves every
-/// factorization of a sweep).
-GraphSketch make_sketch(const ir::TapGraph& tg,
-                        const pruning::PruneResult& pruning);
 
 }  // namespace tap::service

@@ -28,18 +28,6 @@
 // the model) is answered from memory instead of re-enumerated. This is the
 // paper's depth-independence carried across *requests*, not just across
 // instances within one graph.
-//
-// Incremental replanning (ISSUE 8): before a cache-missing search starts,
-// the service sketches the request (service/fingerprint.h) and asks the
-// PlanCache's similarity tier for the nearest cached donor. When one
-// shares weighted families, the search runs with a FamilyCacheWarmStart:
-// unaffected families are PINNED to their memoized outcomes (skipping
-// enumeration entirely) and only changed families are re-searched. The
-// result is bit-identical to a cold search — the fingerprint invariant
-// guarantees pinned outcomes equal what the policy would produce — and is
-// cached under its own exact key like any complete result. Provenance
-// records families_pinned (serving metadata, excluded from plan/report
-// JSON); service.incremental.* metrics count attempts/hits/pinned.
 #pragma once
 
 #include <atomic>
@@ -146,13 +134,8 @@ struct ServiceStats {
   /// The subset of `shed` rejected by the deadline-class admission policy
   /// — batch-class requests shed while interactive headroom remained.
   std::uint64_t shed_by_class = 0;
-  /// Incremental replanning: cache-missing searches that probed the
-  /// similarity tier for a donor.
-  std::uint64_t incremental_attempts = 0;
-  /// Searches that pinned at least one family from a warm start.
+  /// Always 0; family reuse is counted in family_hits.
   std::uint64_t incremental_hits = 0;
-  /// Families answered by a warm-start pin instead of enumeration,
-  /// summed across incremental searches (and across a sweep's meshes).
   std::uint64_t families_pinned = 0;
 };
 
@@ -164,14 +147,6 @@ struct ServiceOptions {
   int request_threads = 0;
   /// Reuse FamilySearchOutcomes across requests by family fingerprint.
   bool family_cache = true;
-  /// Incremental replanning: warm-start cache-missing searches from the
-  /// nearest cached plan's family outcomes when the similarity tier finds
-  /// a donor sharing weighted families. Results are bit-identical to a
-  /// cold search (differential-tested zoo-wide); off forces every miss to
-  /// search cold. Requires family_cache; never applies to cancellable
-  /// (deadlined / checkpoint-limited) requests, whose degradation
-  /// contract assumes a cold family order.
-  bool incremental = true;
   /// Test/bench hook: when set, replaces the planner invocation on a cache
   /// miss (the result is still cached and coalesced normally). Lets tests
   /// hold a search open on a latch to observe single-flight, and benches
@@ -208,11 +183,7 @@ class FamilyResultCache {
   FamilyResultCache(const FamilyResultCache&) = delete;
   FamilyResultCache& operator=(const FamilyResultCache&) = delete;
 
-  /// `count_miss = false` is the warm-start probe: a miss there is
-  /// immediately re-counted by the policy-level lookup that follows, so
-  /// counting it twice would skew the hit ratio. Hits always count.
-  std::optional<core::FamilySearchOutcome> lookup(const Fingerprint& key,
-                                                  bool count_miss = true);
+  std::optional<core::FamilySearchOutcome> lookup(const Fingerprint& key);
   void insert(const Fingerprint& key,
               const core::FamilySearchOutcome& outcome);
 
@@ -232,36 +203,19 @@ class FamilyResultCache {
   std::atomic<std::uint64_t> misses_{0};
 };
 
-/// FamilySearchPolicy decorator that memoizes outcomes by
-/// family-fingerprint x options-fingerprint. Safe for the parallel
-/// FamilySearch pass and the mesh sweep (the stripes serialize only
-/// same-stripe keys). A cached outcome whose choice does not match the
-/// family's member count (a fingerprint collision — never observed, but
-/// cheap to guard) falls through to the inner policy.
 /// The FamilyResultCache key of one (family, options) pair: family
-/// fingerprint x options fingerprint. Shared by CachingFamilyPolicy and
-/// FamilyCacheWarmStart so a pin and a policy hit always agree.
+/// fingerprint x options fingerprint. Equal keys imply an identical
+/// FamilySearchOutcome, which is what makes reuse across requests safe.
 Fingerprint family_result_key(const ir::TapGraph& tg,
                               const pruning::SubgraphFamily& family,
                               const core::TapOptions& opts);
 
-/// core::FamilyWarmStart over the FamilyResultCache: pins a family when
-/// its (family, options) outcome was memoized by a previous search. The
-/// bit-identity contract holds by the fingerprint invariant — equal
-/// family fingerprints under equal option fingerprints imply an identical
-/// FamilySearchOutcome, choice AND stats — which is exactly the guarantee
-/// CachingFamilyPolicy already relies on (and the service tests enforce).
-class FamilyCacheWarmStart final : public core::FamilyWarmStart {
- public:
-  explicit FamilyCacheWarmStart(std::shared_ptr<FamilyResultCache> cache);
-
-  std::optional<core::FamilySearchOutcome> pinned(
-      const ir::TapGraph& tg, const core::TapOptions& opts,
-      const pruning::SubgraphFamily& family) const override;
-
- private:
-  std::shared_ptr<FamilyResultCache> cache_;
-};
+/// FamilySearchPolicy decorator that memoizes outcomes by
+/// family_result_key. Safe for the parallel FamilySearch pass and the
+/// mesh sweep (the stripes serialize only same-stripe keys). A cached
+/// outcome whose choice does not match the family's member count (a
+/// fingerprint collision — never observed, but cheap to guard) falls
+/// through to the inner policy.
 
 class CachingFamilyPolicy final : public core::FamilySearchPolicy {
  public:
@@ -329,7 +283,7 @@ class PlannerService {
   const ServiceOptions& options() const { return opts_; }
 
  private:
-  core::TapResult run_search(const PlanRequest& req, const PlanKey& key,
+  core::TapResult run_search(const PlanRequest& req,
                              util::CancellationToken cancel);
   /// Degraded-mode answer when a deadlined plan() got nothing from the
   /// search: the Megatron expert plan from baselines:: (pure-DP if even
@@ -337,9 +291,10 @@ class PlannerService {
   /// cached.
   core::TapResult fallback_result(const PlanRequest& req,
                                   const std::string& reason);
-  /// Rebuilds a full TapResult from a cached record: plan/cost/stats come
-  /// from the record; pruning and routing are recomputed (both
-  /// deterministic), so the hit is indistinguishable from a cold search.
+  /// Rebuilds a full TapResult from a cached record: plan, cost, stats and
+  /// search coverage come from the record; pruning and routing are
+  /// recomputed (both deterministic), so the hit is indistinguishable from
+  /// a cold search.
   core::TapResult materialize(const PlanRequest& req,
                               const core::PlanRecord& record) const;
   static core::PlanRecord record_of(const core::TapResult& result);

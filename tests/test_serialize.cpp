@@ -122,6 +122,10 @@ PlanRecord searched_record(const Fixture& f) {
   rec.cost = r.cost;
   rec.stats = {r.candidate_plans, r.valid_plans, r.nodes_visited,
                r.cost_queries};
+  rec.families_searched = r.provenance.families_searched;
+  rec.families_total = r.provenance.families_total;
+  rec.meshes_searched = r.provenance.meshes_searched;
+  rec.meshes_total = r.provenance.meshes_total;
   rec.timings = r.pass_timings;
   rec.search_seconds = r.search_seconds;
   return rec;
@@ -132,6 +136,7 @@ TEST(PlanRecord, RoundTripsEverythingExactly) {
   PlanRecord rec = searched_record(f);
   ASSERT_GT(rec.stats.candidate_plans, 0);
   ASSERT_FALSE(rec.timings.empty());
+  ASSERT_GT(rec.families_total, 0);
 
   PlanRecord back = plan_record_from_json(f.tg, plan_record_to_json(f.tg, rec));
   EXPECT_EQ(back.plan.num_shards, rec.plan.num_shards);
@@ -145,6 +150,10 @@ TEST(PlanRecord, RoundTripsEverythingExactly) {
   EXPECT_EQ(back.stats.valid_plans, rec.stats.valid_plans);
   EXPECT_EQ(back.stats.nodes_visited, rec.stats.nodes_visited);
   EXPECT_EQ(back.stats.cost_queries, rec.stats.cost_queries);
+  EXPECT_EQ(back.families_searched, rec.families_searched);
+  EXPECT_EQ(back.families_total, rec.families_total);
+  EXPECT_EQ(back.meshes_searched, rec.meshes_searched);
+  EXPECT_EQ(back.meshes_total, rec.meshes_total);
   ASSERT_EQ(back.timings.size(), rec.timings.size());
   for (std::size_t i = 0; i < rec.timings.size(); ++i) {
     EXPECT_EQ(back.timings[i].pass, rec.timings[i].pass);
@@ -178,11 +187,12 @@ TEST(PlanRecord, VersionIsFirstKeyAndMismatchRejected) {
   ASSERT_LT(json.find("\"version\""), json.find("\"mesh\""));
 
   // Same payload claiming a future version must be rejected up front.
-  std::string vkey = "\"version\": 1";
+  std::string vkey = "\"version\": " + std::to_string(kPlanRecordVersion);
   auto pos = json.find(vkey);
   ASSERT_NE(pos, std::string::npos);
   std::string future = json;
-  future.replace(pos, vkey.size(), "\"version\": 2");
+  future.replace(pos, vkey.size(),
+                 "\"version\": " + std::to_string(kPlanRecordVersion + 1));
   EXPECT_THROW(plan_record_from_json(f.tg, future), CheckError);
 }
 

@@ -19,6 +19,8 @@
 #include "core/tap.h"
 #include "ir/lowering.h"
 #include "models/models.h"
+#include "report/report.h"
+#include "service/wire.h"
 #include "util/check.h"
 
 namespace tap::service {
@@ -451,7 +453,8 @@ TEST(PlannerService, VersionMismatchedDiskFileIsRejected) {
     buf << in.rdbuf();
   }
   std::string payload = buf.str();
-  const std::string vkey = "\"version\": 1";
+  const std::string vkey =
+      "\"version\": " + std::to_string(core::kPlanRecordVersion);
   const auto pos = payload.find(vkey);
   ASSERT_NE(pos, std::string::npos);
   payload.replace(pos, vkey.size(), "\"version\": 999");
@@ -465,6 +468,59 @@ TEST(PlannerService, VersionMismatchedDiskFileIsRejected) {
   EXPECT_TRUE(r.routed.valid);
   EXPECT_EQ(svc.cache_stats().disk_rejects, 1u);
   EXPECT_EQ(svc.stats().searches, 1u);
+}
+
+TEST(PlannerService, CachedExplainMatchesColdReport) {
+  // A report built from a cached plan must be the cold report, byte for
+  // byte — search coverage included, which the record has to carry since
+  // a hit never runs the search that counts it.
+  std::vector<ModelSpec> specs(5);
+  specs[0].layers = 2;  // t5, sweep over S(2, 8)
+  specs[1].layers = 2;  // t5 at a fixed 2x4 mesh on S(1, 8)
+  specs[1].nodes = 1;
+  specs[1].dp = 2;
+  specs[1].tp = 4;
+  specs[2].model = "moe";  // moe sweep over S(1, 8)
+  specs[2].layers = 2;
+  specs[2].nodes = 1;
+  specs[3].model = "resnet50";  // resnet50 at a fixed 1x8 mesh
+  specs[3].nodes = 1;
+  specs[3].dp = 1;
+  specs[3].tp = 8;
+  specs[4].model = "bert";  // bert sweep over S(1, 4)
+  specs[4].layers = 2;
+  specs[4].nodes = 1;
+  specs[4].gpus = 4;
+
+  for (const ModelSpec& spec : specs) {
+    SCOPED_TRACE(model_spec_to_json(spec));
+    Graph g = build_spec_model(spec);
+    ir::TapGraph tg = ir::lower(g);
+    const PlanRequest req{&tg, options_for_spec(spec, 1), spec.sweep()};
+
+    TempDir dir("explain");
+    ServiceOptions disk_opts;
+    disk_opts.cache.disk_dir = dir.path;
+    disk_opts.request_threads = 1;
+    std::string cold;
+    {
+      PlannerService svc(disk_opts);
+      cold = report::to_json(*svc.explain(req));
+      ASSERT_EQ(svc.stats().searches, 1u);
+    }
+
+    ServiceOptions mem_opts;
+    mem_opts.request_threads = 1;
+    PlannerService mem(mem_opts);
+    mem.plan(req);
+    EXPECT_EQ(report::to_json(*mem.explain(req)), cold);
+    EXPECT_EQ(mem.cache_stats().memory_hits, 1u);
+
+    PlannerService disk(disk_opts);
+    EXPECT_EQ(report::to_json(*disk.explain(req)), cold);
+    EXPECT_EQ(disk.cache_stats().disk_hits, 1u);
+    EXPECT_EQ(disk.stats().searches, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
