@@ -102,19 +102,17 @@
 namespace {
 
 struct Args {
-  std::string model = "t5";
-  int layers = 8;
-  std::int64_t classes = 1000;
-  std::int64_t batch = 16;
-  int nodes = 2;
-  int gpus = 8;
+  /// The wire ModelSpec for these flags: the single source of truth for
+  /// "which planning problem is this" shared with the serving tier, so
+  /// the CLI and a tap_serve shard land on the same PlanKey by
+  /// construction.
+  tap::service::ModelSpec spec;
   std::string mesh = "auto";
   int threads = 1;
   int pipeline = 1;
   bool amp = false, recompute = false, zero1 = false, xla = false, viz = false;
   bool no_cache = false, explain = false;
   int topk = 10;
-  std::int64_t deadline_ms = 0;
   std::int64_t max_checkpoints = -1;
   std::string fault_spec;
   std::string save_plan, load_plan, trace_path, cache_dir;
@@ -133,8 +131,6 @@ bool parse_i64(const char* s, std::int64_t* out) {
   *out = static_cast<std::int64_t>(v);
   return true;
 }
-
-bool known_model(const std::string& m) { return tap::service::known_model(m); }
 
 bool parse(int argc, char** argv, Args* a) {
   bool missing = false;
@@ -163,17 +159,17 @@ bool parse(int argc, char** argv, Args* a) {
     const char* f = argv[i];
     const char* v = nullptr;
     if (!std::strcmp(f, "--model") && (v = need_value(i))) {
-      a->model = v;
+      a->spec.model = v;
     } else if (!std::strcmp(f, "--layers")) {
-      i32(f, need_value(i), &a->layers);
+      i32(f, need_value(i), &a->spec.layers);
     } else if (!std::strcmp(f, "--classes")) {
-      i64(f, need_value(i), &a->classes);
+      i64(f, need_value(i), &a->spec.classes);
     } else if (!std::strcmp(f, "--batch")) {
-      i64(f, need_value(i), &a->batch);
+      i64(f, need_value(i), &a->spec.batch);
     } else if (!std::strcmp(f, "--nodes")) {
-      i32(f, need_value(i), &a->nodes);
+      i32(f, need_value(i), &a->spec.nodes);
     } else if (!std::strcmp(f, "--gpus")) {
-      i32(f, need_value(i), &a->gpus);
+      i32(f, need_value(i), &a->spec.gpus);
     } else if (!std::strcmp(f, "--mesh") && (v = need_value(i))) {
       a->mesh = v;
     } else if (!std::strcmp(f, "--threads")) {
@@ -215,7 +211,7 @@ bool parse(int argc, char** argv, Args* a) {
     } else if (!std::strcmp(f, "--topk")) {
       i32(f, need_value(i), &a->topk);
     } else if (!std::strcmp(f, "--deadline-ms")) {
-      i64(f, need_value(i), &a->deadline_ms);
+      i64(f, need_value(i), &a->spec.deadline_ms);
     } else if (!std::strcmp(f, "--max-checkpoints")) {
       i64(f, need_value(i), &a->max_checkpoints);
     } else if (!std::strcmp(f, "--fault") && (v = need_value(i))) {
@@ -231,16 +227,16 @@ bool parse(int argc, char** argv, Args* a) {
     if (missing) return false;
   }
   if (bad_number) return false;
-  if (!known_model(a->model)) {
-    std::cerr << "unknown model '" << a->model
+  if (!tap::service::known_model(a->spec.model)) {
+    std::cerr << "unknown model '" << a->spec.model
               << "' (want t5 | bert | gpt3 | resnet50 | resnet152 | moe)\n";
     return false;
   }
   if (a->mesh != "auto") {
-    int dp = 1, tp = 1;
     char trailing = '\0';
-    if (std::sscanf(a->mesh.c_str(), "%dx%d%c", &dp, &tp, &trailing) != 2 ||
-        dp < 1 || tp < 1) {
+    const int fields = std::sscanf(a->mesh.c_str(), "%dx%d%c", &a->spec.dp,
+                                   &a->spec.tp, &trailing);
+    if (fields != 2 || a->spec.dp < 1 || a->spec.tp < 1) {
       std::cerr << "bad --mesh '" << a->mesh << "' (want DPxTP or auto)\n";
       return false;
     }
@@ -272,29 +268,6 @@ bool write_file(const std::string& path, const std::string& content,
     return false;
   }
   return true;
-}
-
-/// The wire ModelSpec for these flags: the single source of truth for
-/// "which planning problem is this" shared with the serving tier, so the
-/// CLI and a tap_serve shard land on the same PlanKey by construction.
-tap::service::ModelSpec spec_of(const Args& a) {
-  tap::service::ModelSpec spec;
-  spec.model = a.model;
-  spec.layers = a.layers;
-  spec.classes = a.classes;
-  spec.batch = a.batch;
-  spec.nodes = a.nodes;
-  spec.gpus = a.gpus;
-  spec.deadline_ms = a.deadline_ms;
-  if (a.mesh != "auto") {
-    // parse() validated the DPxTP shape already.
-    std::sscanf(a.mesh.c_str(), "%dx%d", &spec.dp, &spec.tp);
-  }
-  return spec;
-}
-
-tap::Graph build_model(const Args& a) {
-  return tap::service::build_spec_model(spec_of(a));
 }
 
 std::vector<std::string> split_urls(const std::string& csv) {
@@ -383,7 +356,8 @@ int main(int argc, char** argv) {
   obs::TraceSession session;
   if (!args.profile_path.empty()) session.start();
 
-  Graph model = build_model(args);
+  const service::ModelSpec& spec = args.spec;
+  Graph model = service::build_spec_model(spec);
   ir::TapGraph tg = ir::lower(model);
   std::printf("model %s: %s params, %zu ops -> %zu GraphNodes\n",
               model.name().c_str(),
@@ -391,24 +365,18 @@ int main(int argc, char** argv) {
                   .c_str(),
               model.num_nodes(), tg.num_nodes());
 
-  core::TapOptions opts;
-  opts.cluster = cost::ClusterSpec::v100_cluster(args.nodes);
-  opts.cluster.gpus_per_node = args.gpus;
-  opts.threads = args.threads;
-  opts.deadline_ms = args.deadline_ms;
+  // The options a tap_serve shard builds for this spec, so fixed-mesh
+  // flags land in the fingerprint exactly the way the server spells them.
+  core::TapOptions opts = service::options_for_spec(spec, args.threads);
   opts.max_checkpoints = args.max_checkpoints;
+  const bool sweep = spec.sweep();
+  const service::PlanKey wire_key = service::make_plan_key(tg, opts, sweep);
 
   // --serve-url: plan over HTTP. The CLI builds the same model and
   // options locally (that is how it knows the PlanKey and how it can
   // route/simulate the answer), but the search itself runs on the
   // tap_serve shard that owns the key.
   std::string served_plan_body;
-  const service::ModelSpec spec = spec_of(args);
-  // The key a tap_serve shard would compute for this spec: built from
-  // options_for_spec (not the CLI's local opts) so fixed-mesh flags land
-  // in the fingerprint exactly the way the server spells them.
-  const service::PlanKey wire_key = service::make_plan_key(
-      tg, service::options_for_spec(spec, args.threads), spec.sweep());
 
   core::TapResult result;
   if (!args.serve_url.empty()) {
@@ -417,7 +385,6 @@ int main(int argc, char** argv) {
                    "--load-plan\n";
       return 2;
     }
-    const service::PlanKey& key = wire_key;
     try {
       // Root the request trace here: the PlanClient forwards this context
       // as a traceparent header, the shard echoes it back, and (with
@@ -427,7 +394,7 @@ int main(int argc, char** argv) {
       obs::ScopedRequestContext rscope(rctx);
       net::PlanClient client(load_urls(args.serve_url));
       net::HttpMessage resp =
-          client.post_plan(key, service::model_spec_to_json(spec));
+          client.post_plan(wire_key, service::model_spec_to_json(spec));
       std::printf("trace: %s\n", obs::format_traceparent(rctx).c_str());
       if (resp.status != 200) {
         std::cerr << "server answered " << resp.status << ": " << resp.body
@@ -436,21 +403,24 @@ int main(int argc, char** argv) {
       }
       served_plan_body = resp.body;
       const util::JsonValue doc = util::JsonValue::parse(resp.body);
-      result.best_plan =
-          core::plan_from_json(tg, doc.at("plan").dump());
-      const std::string source = doc.at("provenance").as_string();
-      result.provenance.source = source == "anytime"
-                                     ? core::PlanSource::kAnytime
-                                 : source == "fallback"
-                                     ? core::PlanSource::kFallback
-                                     : core::PlanSource::kComplete;
+      result.best_plan = core::plan_from_value(tg, doc.at("plan"));
+      result.provenance.source =
+          core::plan_source_from_name(doc.at("provenance").as_string());
       result.candidate_plans =
           doc.at("stats").at("candidate_plans").as_int();
       result.valid_plans = doc.at("stats").at("valid_plans").as_int();
-      std::printf("served: shard %d of %d (%s), key %s\n",
-                  client.shard_for(key), client.num_shards(),
-                  client.url_of(client.shard_for(key)).c_str(),
-                  key.to_hex().c_str());
+      // The served cost, not a local re-costing: the shard priced the
+      // plan with the same recipe an offline run uses.
+      const util::JsonValue& cost = doc.at("cost");
+      result.cost.forward_comm_s = cost.at("forward_comm_s").as_number();
+      result.cost.backward_comm_s = cost.at("backward_comm_s").as_number();
+      result.cost.overlappable_comm_s =
+          cost.at("overlappable_comm_s").as_number();
+      result.cost.comm_bytes = cost.at("comm_bytes").as_int();
+      const int shard = client.shard_for(wire_key);
+      std::printf("served: shard %d of %d (%s), key %s\n", shard,
+                  client.num_shards(), client.url_of(shard).c_str(),
+                  wire_key.to_hex().c_str());
     } catch (const std::exception& e) {
       std::cerr << "serve request failed: " << e.what() << "\n";
       return 1;
@@ -461,8 +431,6 @@ int main(int argc, char** argv) {
                 << "\n";
       return 1;
     }
-    result.cost = cost::comm_cost(result.routed, result.best_plan.num_shards,
-                                  opts.cluster);
   } else if (!args.load_plan.empty()) {
     std::ifstream in(args.load_plan);
     if (!in) {
@@ -484,12 +452,13 @@ int main(int argc, char** argv) {
                 << "\n";
       return 1;
     }
-    result.cost = cost::comm_cost(result.routed,
-                                  result.best_plan.num_shards, opts.cluster);
+    result.cost = core::finalize_cost(tg, result.routed,
+                                      result.best_plan.num_shards, opts);
     std::printf("loaded plan from %s (mesh %s)\n", args.load_plan.c_str(),
                 result.best_plan.mesh().to_string().c_str());
   } else if (args.pipeline > 1) {
     opts.num_shards = opts.cluster.world();
+    opts.dp_replicas = 1;
     core::PipelineOptions popts;
     popts.stages = args.pipeline;
     auto piped = core::auto_parallel_pipelined(tg, opts, popts);
@@ -498,18 +467,8 @@ int main(int argc, char** argv) {
                 piped.stages, piped.bottleneck_fraction * 100.0,
                 piped.bubble_fraction * 100.0);
   } else {
-    const bool sweep = args.mesh == "auto";
-    if (!sweep) {
-      int dp = 1, tp = 1;
-      if (std::sscanf(args.mesh.c_str(), "%dx%d", &dp, &tp) != 2) {
-        std::cerr << "bad --mesh (want DPxTP or auto)\n";
-        return 2;
-      }
-      opts.dp_replicas = dp;
-      opts.num_shards = tp;
-    }
     if ((!args.cache_dir.empty() || !args.profile_path.empty() ||
-         args.deadline_ms > 0) &&
+         spec.deadline_ms > 0) &&
         !args.no_cache) {
       // Route through the PlannerService so a repeat invocation for the
       // same architecture + cluster is served from --cache-dir (the result
@@ -527,9 +486,10 @@ int main(int argc, char** argv) {
                   cs.memory_hits + cs.disk_hits > 0 ? "hit" : "miss",
                   cs.disk_hits > 0      ? "disk"
                   : cs.memory_hits > 0  ? "memory"
-                  : cs.disk_rejects > 0 ? "stale file rejected"
+                  : cs.quarantined > 0  ? "corrupt file quarantined"
+                  : cs.disk_rejects > 0 ? "stale file deleted"
                                         : "searched",
-                  svc.key_for({&tg, opts, sweep}).to_hex().c_str(),
+                  wire_key.to_hex().c_str(),
                   static_cast<unsigned long long>(ss.family_hits));
     } else if (sweep) {
       result = core::auto_parallel_best_mesh(tg, opts);

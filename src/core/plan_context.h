@@ -64,6 +64,16 @@ struct TapOptions {
   std::int64_t max_checkpoints = -1;
 };
 
+/// The one recipe that prices a finished plan (FinalizeCost, GlobalRefine,
+/// fallbacks, reports, loaded plans): comm_cost under opts.cost with the
+/// model-wide backward-compute overlap window. `table` optionally serves
+/// pattern lookups; `ledger` optionally receives the attribution.
+cost::PlanCost finalize_cost(const ir::TapGraph& tg,
+                             const sharding::RoutedPlan& routed,
+                             int num_shards, const TapOptions& opts,
+                             const sharding::PatternTable* table = nullptr,
+                             cost::CommLedger* ledger = nullptr);
+
 /// Serving-side deadline class of a latency budget: a closed,
 /// low-cardinality bucketing for metrics labels, request records, and
 /// admission policy (ISSUE 9). Always returns a static-storage string,

@@ -17,17 +17,6 @@ namespace {
 using pruning::SubgraphFamily;
 using sharding::ShardingPlan;
 
-/// Full-graph cost with the overlap window computed over the whole model.
-double global_cost(const ir::TapGraph& tg, const sharding::RoutedPlan& routed,
-                   const TapOptions& opts,
-                   const sharding::PatternTable& table) {
-  cost::CostOptions copts = opts.cost;
-  copts.overlap_window_s = cost::backward_compute_window(
-      tg, routed, nullptr, opts.num_shards, opts.cluster, &table);
-  return cost::comm_cost(routed, opts.num_shards, opts.cluster, copts)
-      .total();
-}
-
 bool family_is_weighted(const ir::TapGraph& tg, const SubgraphFamily& f) {
   for (ir::GraphNodeId id : f.member_nodes)
     if (tg.node(id).has_weight()) return true;
@@ -209,11 +198,14 @@ void GlobalRefinePass::run(PlanContext& ctx) const {
       << "GlobalRefine requires FamilySearch";
   const sharding::PatternTable& table = *ctx.table;
 
+  auto cost_of = [&](const sharding::RoutedPlan& r) {
+    return finalize_cost(tg, r, ctx.opts.num_shards, ctx.opts, &table).total();
+  };
+
   ctx.routed = sharding::route_plan(tg, ctx.plan, &table);
   ctx.stats.nodes_visited += static_cast<std::int64_t>(tg.num_nodes());
-  double current_cost = ctx.routed.valid
-                            ? global_cost(tg, ctx.routed, ctx.opts, table)
-                            : kInvalidPlanCost;
+  double current_cost =
+      ctx.routed.valid ? cost_of(ctx.routed) : kInvalidPlanCost;
   ++ctx.stats.cost_queries;
   for (const SubgraphFamily& family : ctx.pruning.families) {
     if (!family_is_weighted(tg, family)) continue;
@@ -233,7 +225,7 @@ void GlobalRefinePass::run(PlanContext& ctx) const {
     ctx.stats.nodes_visited += static_cast<std::int64_t>(tg.num_nodes());
     if (!routed.valid) continue;
     ++ctx.stats.cost_queries;
-    const double c = global_cost(tg, routed, ctx.opts, table);
+    const double c = cost_of(routed);
     if (c < current_cost) {
       current_cost = c;
       ctx.plan = std::move(reverted);
@@ -253,13 +245,20 @@ void FinalizeCostPass::run(PlanContext& ctx) const {
   const ir::TapGraph& tg = ctx.graph();
   TAP_CHECK(ctx.table.has_value() && ctx.routed.valid)
       << "FinalizeCost requires GlobalRefine";
-  cost::CostOptions copts = ctx.opts.cost;
-  copts.overlap_window_s = cost::backward_compute_window(
-      tg, ctx.routed, nullptr, ctx.opts.num_shards, ctx.opts.cluster,
-      &*ctx.table);
-  ctx.cost = cost::comm_cost(ctx.routed, ctx.opts.num_shards,
-                             ctx.opts.cluster, copts);
+  ctx.cost = finalize_cost(tg, ctx.routed, ctx.opts.num_shards, ctx.opts,
+                           &*ctx.table);
   ++ctx.stats.cost_queries;
+}
+
+cost::PlanCost finalize_cost(const ir::TapGraph& tg,
+                             const sharding::RoutedPlan& routed,
+                             int num_shards, const TapOptions& opts,
+                             const sharding::PatternTable* table,
+                             cost::CommLedger* ledger) {
+  cost::CostOptions copts = opts.cost;
+  copts.overlap_window_s = cost::backward_compute_window(
+      tg, routed, nullptr, num_shards, opts.cluster, table);
+  return cost::comm_cost(routed, num_shards, opts.cluster, copts, ledger);
 }
 
 }  // namespace tap::core

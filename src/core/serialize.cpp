@@ -1,116 +1,60 @@
 #include "core/serialize.h"
 
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
+#include <cmath>
+#include <string_view>
 
 #include "util/check.h"
 
 namespace tap::core {
 
+using util::JsonValue;
+
 namespace {
 
-/// Escapes the characters our names can legally contain (they are
-/// '/'-separated identifiers, but be safe about quotes/backslashes).
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
+/// PlanRecord keys, in the one order the writer emits and the reader
+/// accepts.
+constexpr std::string_view kRecordKeys[] = {
+    "version", "mesh",     "choice",  "cost",
+    "stats",   "coverage", "timings", "search_seconds"};
+
+JsonValue int_array(std::initializer_list<std::int64_t> values) {
+  JsonValue a = JsonValue::array();
+  for (std::int64_t v : values)
+    a.push_back(JsonValue::number(static_cast<double>(v)));
+  return a;
 }
 
-/// Minimal recursive-descent parser for the subset we emit.
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
+/// JSON has no spelling for inf/nan: refuse them rather than write a file
+/// no reader accepts.
+JsonValue finite(double v) {
+  TAP_CHECK(std::isfinite(v)) << "plan record: non-finite value " << v;
+  return JsonValue::number(v);
+}
 
-  void expect(char c) {
-    skip_ws();
-    TAP_CHECK(pos_ < text_.size() && text_[pos_] == c)
-        << "plan JSON: expected '" << c << "' at offset " << pos_;
-    ++pos_;
-  }
+/// The elements of `v`, which must be an array of exactly `n`.
+const std::vector<JsonValue>& tuple(const JsonValue& v, std::size_t n,
+                                    std::string_view key) {
+  const auto& items = v.items();
+  TAP_CHECK_EQ(items.size(), n)
+      << "\"" << std::string(key) << "\" must have " << n << " elements";
+  return items;
+}
 
-  bool try_consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string string_value() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) c = text_[pos_++];
-      out.push_back(c);
-    }
-    TAP_CHECK(pos_ < text_.size()) << "plan JSON: unterminated string";
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  long long int_value() {
-    skip_ws();
-    std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+'))
-      ++pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-    TAP_CHECK(pos_ > start) << "plan JSON: expected integer at " << start;
-    return std::stoll(text_.substr(start, pos_ - start));
-  }
-
-  double double_value() {
-    skip_ws();
-    std::size_t start = pos_;
-    auto is_num_char = [](char c) {
-      return std::isdigit(static_cast<unsigned char>(c)) || c == '-' ||
-             c == '+' || c == '.' || c == 'e' || c == 'E' || c == 'i' ||
-             c == 'n' || c == 'f';  // inf: kInvalidPlanCost round-trips
-    };
-    while (pos_ < text_.size() && is_num_char(text_[pos_])) ++pos_;
-    TAP_CHECK(pos_ > start) << "plan JSON: expected number at " << start;
-    const std::string tok = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    TAP_CHECK(end == tok.c_str() + tok.size())
-        << "plan JSON: bad number '" << tok << "'";
-    return v;
-  }
-
-  void done() {
-    skip_ws();
-    TAP_CHECK_EQ(pos_, text_.size()) << "plan JSON: trailing content";
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+/// Reads a [dp, tp] mesh into `plan` (both >= 1).
+void read_mesh(const JsonValue& v, sharding::ShardingPlan* plan) {
+  const auto& mesh = tuple(v, 2, "mesh");
+  plan->dp_replicas = mesh[0].as_int32();
+  plan->num_shards = mesh[1].as_int32();
+  TAP_CHECK_GE(plan->dp_replicas, 1);
+  TAP_CHECK_GE(plan->num_shards, 1);
+}
 
 }  // namespace
 
-std::string plan_to_json(const ir::TapGraph& tg,
-                         const sharding::ShardingPlan& plan) {
+JsonValue plan_to_value(const ir::TapGraph& tg,
+                        const sharding::ShardingPlan& plan) {
   TAP_CHECK_EQ(plan.choice.size(), tg.num_nodes());
-  std::ostringstream os;
-  os << "{\n  \"mesh\": [" << plan.dp_replicas << ", " << plan.num_shards
-     << "],\n  \"assignments\": {\n";
-  bool first = true;
+  JsonValue assignments = JsonValue::object();
   for (const auto& n : tg.nodes()) {
     if (!n.has_weight()) continue;
     auto pats = sharding::patterns_for(tg, n.id, plan.num_shards,
@@ -118,49 +62,29 @@ std::string plan_to_json(const ir::TapGraph& tg,
     int c = plan.choice[static_cast<std::size_t>(n.id)];
     TAP_CHECK(c >= 0 && c < static_cast<int>(pats.size()))
         << "plan has no valid pattern for '" << n.name << "'";
-    if (!first) os << ",\n";
-    first = false;
-    os << "    \"" << escape(n.name) << "\": \""
-       << escape(pats[static_cast<std::size_t>(c)].name) << "\"";
+    assignments.set(n.name, JsonValue::string(
+                                pats[static_cast<std::size_t>(c)].name));
   }
-  os << "\n  }\n}\n";
-  return os.str();
+  JsonValue doc = JsonValue::object();
+  doc.set("mesh", int_array({plan.dp_replicas, plan.num_shards}));
+  doc.set("assignments", std::move(assignments));
+  return doc;
 }
 
-sharding::ShardingPlan plan_from_json(const ir::TapGraph& tg,
-                                      const std::string& json) {
-  Parser p(json);
-  p.expect('{');
-
+sharding::ShardingPlan plan_from_value(const ir::TapGraph& tg,
+                                       const JsonValue& doc) {
   sharding::ShardingPlan plan;
   bool have_mesh = false;
-  bool first_key = true;
-  while (true) {
-    if (!first_key && !p.try_consume(',')) break;
-    first_key = false;
-    std::string key = p.string_value();
-    p.expect(':');
+  for (const auto& [key, value] : doc.members()) {
     if (key == "mesh") {
-      p.expect('[');
-      plan.dp_replicas = static_cast<int>(p.int_value());
-      p.expect(',');
-      plan.num_shards = static_cast<int>(p.int_value());
-      p.expect(']');
-      TAP_CHECK_GE(plan.dp_replicas, 1);
-      TAP_CHECK_GE(plan.num_shards, 1);
+      read_mesh(value, &plan);
       have_mesh = true;
       plan.choice.assign(tg.num_nodes(), 0);
     } else if (key == "assignments") {
       TAP_CHECK(have_mesh) << "plan JSON: \"mesh\" must precede "
                               "\"assignments\"";
-      p.expect('{');
-      bool first_entry = true;
-      while (true) {
-        if (first_entry ? p.try_consume('}') : !p.try_consume(',')) break;
-        first_entry = false;
-        std::string node = p.string_value();
-        p.expect(':');
-        std::string pattern = p.string_value();
+      for (const auto& [node, pattern_value] : value.members()) {
+        const std::string& pattern = pattern_value.as_string();
         ir::GraphNodeId id = tg.find(node);
         TAP_CHECK(id != ir::kInvalidGraphNode)
             << "plan references unknown GraphNode '" << node << "'";
@@ -178,99 +102,93 @@ sharding::ShardingPlan plan_from_json(const ir::TapGraph& tg,
                             << "' not applicable to '" << node
                             << "' under mesh " << plan.mesh().to_string();
       }
-      if (first_entry) continue;  // consumed '}' of an empty object
-      p.expect('}');
     } else {
       TAP_CHECK(false) << "plan JSON: unknown key '" << key << "'";
     }
   }
-  p.expect('}');
-  p.done();
   TAP_CHECK(have_mesh) << "plan JSON: missing \"mesh\"";
-  TAP_CHECK(!plan.choice.empty()) << "plan JSON: missing \"assignments\"";
   return plan;
 }
 
-namespace {
-
-/// Shortest exact representation: 17 significant digits round-trip every
-/// finite double bit-identically through strtod.
-std::string exact(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+std::string plan_to_json(const ir::TapGraph& tg,
+                         const sharding::ShardingPlan& plan) {
+  return plan_to_value(tg, plan).dump();
 }
 
-}  // namespace
+sharding::ShardingPlan plan_from_json(const ir::TapGraph& tg,
+                                      const std::string& json) {
+  return plan_from_value(tg, JsonValue::parse(json));
+}
 
 std::string plan_record_to_json(const ir::TapGraph& tg,
                                 const PlanRecord& record) {
   TAP_CHECK_EQ(record.plan.choice.size(), tg.num_nodes())
       << "record does not cover the graph";
-  std::ostringstream os;
-  os << "{\n  \"version\": " << kPlanRecordVersion << ",\n  \"mesh\": ["
-     << record.plan.dp_replicas << ", " << record.plan.num_shards
-     << "],\n  \"choice\": [";
-  for (std::size_t i = 0; i < record.plan.choice.size(); ++i)
-    os << (i ? ", " : "") << record.plan.choice[i];
-  os << "],\n  \"cost\": [" << exact(record.cost.forward_comm_s) << ", "
-     << exact(record.cost.backward_comm_s) << ", "
-     << exact(record.cost.overlappable_comm_s) << ", "
-     << record.cost.comm_bytes << "],\n  \"stats\": ["
-     << record.stats.candidate_plans << ", " << record.stats.valid_plans
-     << ", " << record.stats.nodes_visited << ", "
-     << record.stats.cost_queries << "],\n  \"coverage\": ["
-     << record.families_searched << ", " << record.families_total << ", "
-     << record.meshes_searched << ", " << record.meshes_total
-     << "],\n  \"timings\": [";
-  for (std::size_t i = 0; i < record.timings.size(); ++i) {
-    os << (i ? ", " : "") << "[\"" << escape(record.timings[i].pass)
-       << "\", " << exact(record.timings[i].seconds) << "]";
+  JsonValue choice = JsonValue::array();
+  for (int c : record.plan.choice) choice.push_back(JsonValue::number(c));
+  JsonValue cost = JsonValue::array();
+  for (double v : {record.cost.forward_comm_s, record.cost.backward_comm_s,
+                   record.cost.overlappable_comm_s})
+    cost.push_back(finite(v));
+  cost.push_back(
+      JsonValue::number(static_cast<double>(record.cost.comm_bytes)));
+  JsonValue timings = JsonValue::array();
+  for (const PassTiming& t : record.timings) {
+    JsonValue entry = JsonValue::array();
+    entry.push_back(JsonValue::string(t.pass));
+    entry.push_back(finite(t.seconds));
+    timings.push_back(std::move(entry));
   }
-  os << "],\n  \"search_seconds\": " << exact(record.search_seconds)
-     << "\n}\n";
-  return os.str();
+
+  JsonValue doc = JsonValue::object();
+  doc.set("version", JsonValue::number(kPlanRecordVersion));
+  doc.set("mesh", int_array({record.plan.dp_replicas, record.plan.num_shards}));
+  doc.set("choice", std::move(choice));
+  doc.set("cost", std::move(cost));
+  doc.set("stats", int_array({record.stats.candidate_plans,
+                              record.stats.valid_plans,
+                              record.stats.nodes_visited,
+                              record.stats.cost_queries}));
+  doc.set("coverage",
+          int_array({record.families_searched, record.families_total,
+                     record.meshes_searched, record.meshes_total}));
+  doc.set("timings", std::move(timings));
+  doc.set("search_seconds", finite(record.search_seconds));
+  return doc.dump();
 }
 
 PlanRecord plan_record_from_json(const ir::TapGraph& tg,
                                  const std::string& json) {
-  Parser p(json);
-  PlanRecord record;
-  p.expect('{');
+  const JsonValue doc = JsonValue::parse(json);
+  const auto& members = doc.members();
 
-  // Version gate FIRST: a mismatch (or any malformation before it) must
-  // reject the payload before anything else is interpreted.
-  TAP_CHECK(p.string_value() == "version")
+  // Version gate FIRST: a mismatch must reject the payload before
+  // anything else is interpreted.
+  TAP_CHECK(!members.empty() && members[0].first == "version")
       << "plan record: \"version\" must be the first key";
-  p.expect(':');
-  const long long version = p.int_value();
-  TAP_CHECK_EQ(version, kPlanRecordVersion)
-      << "plan record written by incompatible code";
+  const std::int64_t version = members[0].second.as_int();
+  if (version != kPlanRecordVersion) {
+    throw StalePlanRecordError("plan record version " +
+                               std::to_string(version) + ", want " +
+                               std::to_string(kPlanRecordVersion));
+  }
 
-  auto key = [&](const char* want) {
-    p.expect(',');
-    TAP_CHECK(p.string_value() == want)
-        << "plan record: expected key \"" << want << "\"";
-    p.expect(':');
+  constexpr std::size_t kNumKeys = std::size(kRecordKeys);
+  TAP_CHECK_EQ(members.size(), kNumKeys) << "plan record: wrong key count";
+  for (std::size_t i = 0; i < kNumKeys; ++i) {
+    TAP_CHECK(members[i].first == kRecordKeys[i])
+        << "plan record: expected key \"" << std::string(kRecordKeys[i])
+        << "\"";
+  }
+  auto field = [&](std::size_t i) -> const JsonValue& {
+    return members[i].second;
   };
 
-  key("mesh");
-  p.expect('[');
-  record.plan.dp_replicas = static_cast<int>(p.int_value());
-  p.expect(',');
-  record.plan.num_shards = static_cast<int>(p.int_value());
-  p.expect(']');
-  TAP_CHECK_GE(record.plan.dp_replicas, 1);
-  TAP_CHECK_GE(record.plan.num_shards, 1);
+  PlanRecord record;
+  read_mesh(field(1), &record.plan);
 
-  key("choice");
-  p.expect('[');
-  if (!p.try_consume(']')) {
-    do {
-      record.plan.choice.push_back(static_cast<int>(p.int_value()));
-    } while (p.try_consume(','));
-    p.expect(']');
-  }
+  for (const JsonValue& c : field(2).items())
+    record.plan.choice.push_back(c.as_int32());
   TAP_CHECK_EQ(record.plan.choice.size(), tg.num_nodes())
       << "plan record does not match the graph";
   for (const auto& n : tg.nodes()) {
@@ -282,59 +200,30 @@ PlanRecord plan_record_from_json(const ir::TapGraph& tg,
         << "'";
   }
 
-  key("cost");
-  p.expect('[');
-  record.cost.forward_comm_s = p.double_value();
-  p.expect(',');
-  record.cost.backward_comm_s = p.double_value();
-  p.expect(',');
-  record.cost.overlappable_comm_s = p.double_value();
-  p.expect(',');
-  record.cost.comm_bytes = p.int_value();
-  p.expect(']');
+  const auto& cost = tuple(field(3), 4, kRecordKeys[3]);
+  record.cost.forward_comm_s = cost[0].as_number();
+  record.cost.backward_comm_s = cost[1].as_number();
+  record.cost.overlappable_comm_s = cost[2].as_number();
+  record.cost.comm_bytes = cost[3].as_int();
 
-  key("stats");
-  p.expect('[');
-  record.stats.candidate_plans = p.int_value();
-  p.expect(',');
-  record.stats.valid_plans = p.int_value();
-  p.expect(',');
-  record.stats.nodes_visited = p.int_value();
-  p.expect(',');
-  record.stats.cost_queries = p.int_value();
-  p.expect(']');
+  const auto& stats = tuple(field(4), 4, kRecordKeys[4]);
+  record.stats.candidate_plans = stats[0].as_int();
+  record.stats.valid_plans = stats[1].as_int();
+  record.stats.nodes_visited = stats[2].as_int();
+  record.stats.cost_queries = stats[3].as_int();
 
-  key("coverage");
-  p.expect('[');
-  record.families_searched = p.int_value();
-  p.expect(',');
-  record.families_total = p.int_value();
-  p.expect(',');
-  record.meshes_searched = p.int_value();
-  p.expect(',');
-  record.meshes_total = p.int_value();
-  p.expect(']');
+  const auto& coverage = tuple(field(5), 4, kRecordKeys[5]);
+  record.families_searched = coverage[0].as_int();
+  record.families_total = coverage[1].as_int();
+  record.meshes_searched = coverage[2].as_int();
+  record.meshes_total = coverage[3].as_int();
 
-  key("timings");
-  p.expect('[');
-  if (!p.try_consume(']')) {
-    do {
-      p.expect('[');
-      PassTiming t;
-      t.pass = p.string_value();
-      p.expect(',');
-      t.seconds = p.double_value();
-      p.expect(']');
-      record.timings.push_back(std::move(t));
-    } while (p.try_consume(','));
-    p.expect(']');
+  for (const JsonValue& t : field(6).items()) {
+    const auto& entry = tuple(t, 2, kRecordKeys[6]);
+    record.timings.push_back({entry[0].as_string(), entry[1].as_number()});
   }
 
-  key("search_seconds");
-  record.search_seconds = p.double_value();
-
-  p.expect('}');
-  p.done();
+  record.search_seconds = field(7).as_number();
   return record;
 }
 

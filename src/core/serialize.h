@@ -4,30 +4,37 @@
 // reference GraphNodes and patterns *by name*, so any identically-built
 // model accepts them regardless of internal ids.
 //
-// Format: a single JSON object,
-//   {
-//     "mesh": [dp, tp],
-//     "assignments": { "<graphnode name>": "<pattern name>", ... }
-//   }
-// Only weighted GraphNodes are listed (glue always follows). The parser
-// accepts exactly what the writer emits (plus arbitrary whitespace) and
-// throws CheckError on malformed input, unknown nodes, or patterns
-// inapplicable under the given mesh.
+// Format: one compact JSON object,
+//   {"mesh":[dp,tp],"assignments":{"<graphnode name>":"<pattern name>",...}}
+// Only weighted GraphNodes are listed (glue always follows). Everything
+// here is read and written through util::JsonValue: any standard spelling
+// is accepted, and malformed input, unknown keys or nodes, non-integral or
+// out-of-range numbers, and inapplicable patterns throw CheckError.
 #pragma once
 
 #include <string>
 
 #include "core/plan_context.h"
 #include "sharding/plan.h"
+#include "util/json.h"
 
 namespace tap::core {
 
-/// Serializes `plan` against `tg`.
+/// The by-name plan document of `plan` against `tg`. The plan-response
+/// wire format embeds this value as its "plan" field.
+util::JsonValue plan_to_value(const ir::TapGraph& tg,
+                              const sharding::ShardingPlan& plan);
+
+/// Resolves a by-name plan document against `tg`. Unlisted weighted nodes
+/// get pattern 0 (the data-parallel/replicate default).
+sharding::ShardingPlan plan_from_value(const ir::TapGraph& tg,
+                                       const util::JsonValue& doc);
+
+/// plan_to_value, dumped.
 std::string plan_to_json(const ir::TapGraph& tg,
                          const sharding::ShardingPlan& plan);
 
-/// Parses a plan and resolves it against `tg`. Unlisted weighted nodes get
-/// pattern 0 (the data-parallel/replicate default).
+/// plan_from_value of the parsed `json`.
 sharding::ShardingPlan plan_from_json(const ir::TapGraph& tg,
                                       const std::string& json);
 
@@ -44,16 +51,31 @@ sharding::ShardingPlan plan_from_json(const ir::TapGraph& tg,
 // choices positionally (one index per GraphNodeId) — a cache hit already
 // guarantees a structurally identical graph with identical deterministic
 // node ids, and positional storage keeps renamed but structurally equal
-// graphs servable. Doubles are written with 17 significant digits, so
-// every value round-trips exactly.
+// graphs servable. Layout, keys in exactly this order:
+//   {"version":2,"mesh":[dp,tp],"choice":[c,...],"cost":[forward_s,
+//    backward_s,overlappable_s,bytes],"stats":[candidates,valid,visited,
+//    cost_queries],"coverage":[families_searched,families_total,
+//    meshes_searched,meshes_total],"timings":[["<pass>",s],...],
+//    "search_seconds":s}
+// Doubles use 17 significant digits and round-trip exactly; non-finite
+// ones have no JSON spelling, so the writer refuses them.
 //
 // The format is versioned: `version` is the FIRST key and readers reject
-// any mismatch before touching the rest of the payload, so cache files
-// written by older code are discarded, never misinterpreted.
+// any mismatch before touching the rest of the payload (throwing
+// StalePlanRecordError), so cache files written by older code are
+// discarded, never misinterpreted.
 
 /// Bump whenever PlanRecord's layout OR any planning semantics change
 /// (pattern catalog, cost model, search order) — stale plans must miss.
 inline constexpr int kPlanRecordVersion = 2;
+
+/// A well-formed record whose version is not kPlanRecordVersion: written
+/// by other code, not corrupt. The plan cache deletes such files instead
+/// of quarantining them.
+class StalePlanRecordError : public CheckError {
+ public:
+  using CheckError::CheckError;
+};
 
 struct PlanRecord {
   sharding::ShardingPlan plan;
@@ -70,14 +92,16 @@ struct PlanRecord {
   double search_seconds = 0.0;
 };
 
-/// Serializes `record` (validated against `tg`: one choice per GraphNode).
+/// Serializes `record` (validated against `tg`: one choice per GraphNode;
+/// every double finite).
 std::string plan_record_to_json(const ir::TapGraph& tg,
                                 const PlanRecord& record);
 
 /// Parses a record and validates it against `tg`: version must equal
-/// kPlanRecordVersion, the choice vector must cover every GraphNode, and
-/// every index must select an applicable pattern under the record's mesh.
-/// Throws CheckError otherwise.
+/// kPlanRecordVersion (StalePlanRecordError otherwise), the keys and tuple
+/// sizes must be exactly the writer's, the choice vector must cover every
+/// GraphNode, and every index must select an applicable pattern under the
+/// record's mesh. Throws CheckError otherwise.
 PlanRecord plan_record_from_json(const ir::TapGraph& tg,
                                  const std::string& json);
 

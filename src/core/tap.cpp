@@ -21,6 +21,13 @@ const char* plan_source_name(PlanSource source) {
   return "unknown";
 }
 
+PlanSource plan_source_from_name(const std::string& name) {
+  if (name == "complete") return PlanSource::kComplete;
+  if (name == "anytime") return PlanSource::kAnytime;
+  TAP_CHECK(name == "fallback") << "unknown plan source '" << name << "'";
+  return PlanSource::kFallback;
+}
+
 util::CancellationToken cancellation_for(const TapOptions& opts) {
   if (opts.deadline_ms <= 0 && opts.max_checkpoints < 0) return {};
   util::CancellationSource src;

@@ -39,6 +39,8 @@ enum class PlanSource : std::uint8_t {
 /// Stable lowercase name ("complete" / "anytime" / "fallback") for
 /// reports, metrics and the CLI.
 const char* plan_source_name(PlanSource source);
+/// Inverse of plan_source_name; throws CheckError on any other name.
+PlanSource plan_source_from_name(const std::string& name);
 
 /// Degradation record attached to every TapResult and surfaced through
 /// PlanReport JSON and tap_cli. Complete results have searched == total

@@ -83,6 +83,17 @@ HttpMessage error_response(int status, const std::string& message) {
   return make_response(status, "application/json", doc.dump());
 }
 
+/// 503 + Retry-After for a request the service shed.
+HttpMessage shed_response(const service::OverloadedError& e,
+                          obs::FlightRecord& rec) {
+  metrics().overloaded->add();
+  obs::set_record_field(rec.served, sizeof rec.served, "shed");
+  obs::set_record_field(rec.reason, sizeof rec.reason, "overloaded");
+  HttpMessage shed = error_response(503, e.what());
+  shed.set_header("retry-after", retry_after_seconds(e.retry_after_ms()));
+  return shed;
+}
+
 std::string hex64(std::uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx",
@@ -232,31 +243,32 @@ const PlanHandler::CachedModel* PlanHandler::model_for(
   return it->second.get();
 }
 
-HttpMessage PlanHandler::handle_plan(const HttpMessage& req,
-                                     obs::FlightRecord& rec) {
-  TAP_SPAN("net.plan", "net");
-  metrics().plan_requests->add();
+std::optional<HttpMessage> PlanHandler::admit(const HttpMessage& req,
+                                              bool is_plan,
+                                              obs::FlightRecord& rec,
+                                              Admitted* out) {
   service::ModelSpec spec;
   try {
-    spec = service::model_spec_from_json(req.body);
+    spec = is_plan ? service::model_spec_from_json(req.body)
+                   : service::model_spec_from_query(req.target);
   } catch (const std::exception& e) {
     metrics().bad_requests->add();
     obs::set_record_field(rec.reason, sizeof rec.reason, "bad_spec");
     return error_response(400, e.what());
   }
-  const CachedModel* model = model_for(spec);
-  service::PlanRequest plan_req{
-      &model->tg, service::options_for_spec(spec, opts_.search_threads),
-      spec.sweep()};
-  const service::PlanKey key = svc_->key_for(plan_req);
-  rec.key_digest = key.digest();
-  const char* deadline_class =
-      core::deadline_class_name(plan_req.opts.deadline_ms);
-  obs::set_record_field(rec.deadline_class, sizeof rec.deadline_class,
-                        deadline_class);
-  const int owner = scheme_.shard_for(key);
-  const bool failover = owner != opts_.shard_id && is_failover_request(req);
-  if (owner != opts_.shard_id && !failover) {
+  out->plan_req = {&model_for(spec)->tg,
+                   service::options_for_spec(spec, opts_.search_threads),
+                   spec.sweep()};
+  out->key = svc_->key_for(out->plan_req);
+  rec.key_digest = out->key.digest();
+  obs::set_record_field(
+      rec.deadline_class, sizeof rec.deadline_class,
+      core::deadline_class_name(out->plan_req.opts.deadline_ms));
+  const int owner = scheme_.shard_for(out->key);
+  // Only POST /plan honours X-Tap-Failover; /explain always 421s.
+  out->failover =
+      is_plan && owner != opts_.shard_id && is_failover_request(req);
+  if (owner != opts_.shard_id && !out->failover) {
     metrics().misrouted->add();
     obs::set_record_field(rec.reason, sizeof rec.reason, "misrouted");
     util::JsonValue doc = util::JsonValue::object();
@@ -264,7 +276,16 @@ HttpMessage PlanHandler::handle_plan(const HttpMessage& req,
     doc.set("shard", util::JsonValue::number(owner));
     return make_response(421, "application/json", doc.dump());
   }
-  if (failover) {
+  return std::nullopt;
+}
+
+HttpMessage PlanHandler::handle_plan(const HttpMessage& req,
+                                     obs::FlightRecord& rec) {
+  TAP_SPAN("net.plan", "net");
+  metrics().plan_requests->add();
+  Admitted a;
+  if (auto rejected = admit(req, /*is_plan=*/true, rec, &a)) return *rejected;
+  if (a.failover) {
     // This shard is standing in for a dead owner: serve the (cold) search
     // and mark the provenance. Determinism keeps the bytes identical to
     // what the owner would have answered; "failover" stays serving
@@ -275,13 +296,13 @@ HttpMessage PlanHandler::handle_plan(const HttpMessage& req,
   // Re-install the context with the request's deadline class filled in,
   // so the copy the PlannerService captures into its worker carries it.
   obs::RequestContext ctx = *obs::current_request_context();
-  ctx.deadline_class = deadline_class;
+  ctx.deadline_class = core::deadline_class_name(a.plan_req.opts.deadline_ms);
   obs::ScopedRequestContext nested(ctx);
   try {
     // plan() owns degradation: a tripped deadline degrades to
     // anytime/fallback instead of throwing. Only load shedding escapes.
     service::PlanTelemetry telem;
-    const core::TapResult result = svc_->plan(plan_req, &telem);
+    const core::TapResult result = svc_->plan(a.plan_req, &telem);
     rec.queue_ms = static_cast<float>(telem.queue_ms);
     rec.search_ms = static_cast<float>(telem.search_ms);
     obs::set_record_field(rec.served, sizeof rec.served,
@@ -302,58 +323,24 @@ HttpMessage PlanHandler::handle_plan(const HttpMessage& req,
     }
     HttpMessage ok = make_response(
         200, "application/json",
-        service::plan_response_json(model->tg, key, result));
-    if (failover) ok.set_header("x-tap-served", "failover");
+        service::plan_response_json(*a.plan_req.tg, a.key, result));
+    if (a.failover) ok.set_header("x-tap-served", "failover");
     return ok;
   } catch (const service::OverloadedError& e) {
-    metrics().overloaded->add();
-    obs::set_record_field(rec.served, sizeof rec.served, "shed");
-    obs::set_record_field(rec.reason, sizeof rec.reason, "overloaded");
-    HttpMessage shed = error_response(503, e.what());
-    shed.set_header("retry-after", retry_after_seconds(e.retry_after_ms()));
-    return shed;
+    return shed_response(e, rec);
   }
 }
 
 HttpMessage PlanHandler::handle_explain(const HttpMessage& req,
                                         obs::FlightRecord& rec) {
   metrics().explain_requests->add();
-  service::ModelSpec spec;
+  Admitted a;
+  if (auto rejected = admit(req, /*is_plan=*/false, rec, &a)) return *rejected;
   try {
-    spec = service::model_spec_from_query(req.target);
-  } catch (const std::exception& e) {
-    metrics().bad_requests->add();
-    obs::set_record_field(rec.reason, sizeof rec.reason, "bad_spec");
-    return error_response(400, e.what());
-  }
-  const CachedModel* model = model_for(spec);
-  service::PlanRequest plan_req{
-      &model->tg, service::options_for_spec(spec, opts_.search_threads),
-      spec.sweep()};
-  const service::PlanKey key = svc_->key_for(plan_req);
-  rec.key_digest = key.digest();
-  obs::set_record_field(
-      rec.deadline_class, sizeof rec.deadline_class,
-      core::deadline_class_name(plan_req.opts.deadline_ms));
-  const int owner = scheme_.shard_for(key);
-  if (owner != opts_.shard_id) {
-    metrics().misrouted->add();
-    obs::set_record_field(rec.reason, sizeof rec.reason, "misrouted");
-    util::JsonValue doc = util::JsonValue::object();
-    doc.set("error", util::JsonValue::string("misrouted"));
-    doc.set("shard", util::JsonValue::number(owner));
-    return make_response(421, "application/json", doc.dump());
-  }
-  try {
-    std::shared_ptr<const report::PlanReport> rep = svc_->explain(plan_req);
+    std::shared_ptr<const report::PlanReport> rep = svc_->explain(a.plan_req);
     return make_response(200, "application/json", report::to_json(*rep));
   } catch (const service::OverloadedError& e) {
-    metrics().overloaded->add();
-    obs::set_record_field(rec.served, sizeof rec.served, "shed");
-    obs::set_record_field(rec.reason, sizeof rec.reason, "overloaded");
-    HttpMessage shed = error_response(503, e.what());
-    shed.set_header("retry-after", retry_after_seconds(e.retry_after_ms()));
-    return shed;
+    return shed_response(e, rec);
   }
 }
 

@@ -46,6 +46,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -101,6 +102,18 @@ class PlanHandler {
         : graph(std::move(g)), tg(ir::lower(graph)) {}
   };
 
+  /// A /plan or /explain request past admit().
+  struct Admitted {
+    service::PlanRequest plan_req;  ///< borrows a models_ graph
+    service::PlanKey key;
+    bool failover = false;  ///< non-owner standing in (POST /plan only)
+  };
+
+  /// The front half of /plan and /explain: spec (body or query) -> model
+  /// -> key -> flight record -> placement. Returns the 400 or 421 answer
+  /// when the request ends here.
+  std::optional<HttpMessage> admit(const HttpMessage& req, bool is_plan,
+                                   obs::FlightRecord& rec, Admitted* out);
   HttpMessage handle_plan(const HttpMessage& req, obs::FlightRecord& rec);
   HttpMessage handle_explain(const HttpMessage& req,
                              obs::FlightRecord& rec);

@@ -275,19 +275,6 @@ std::vector<LatencySummary> collect_latency() {
   return out;
 }
 
-// The FinalizeCost recipe: cost the routed plan with the full-graph
-// backward-compute overlap window, so the ledger sums match
-// TapResult::cost exactly.
-cost::PlanCost ledgered_cost(const ir::TapGraph& tg,
-                             const sharding::RoutedPlan& routed,
-                             int num_shards, const core::TapOptions& opts,
-                             cost::CommLedger* ledger) {
-  cost::CostOptions copts = opts.cost;
-  copts.overlap_window_s = cost::backward_compute_window(
-      tg, routed, nullptr, num_shards, opts.cluster);
-  return cost::comm_cost(routed, num_shards, opts.cluster, copts, ledger);
-}
-
 }  // namespace
 
 PlanReport build_report(const ir::TapGraph& tg,
@@ -304,7 +291,8 @@ PlanReport build_report(const ir::TapGraph& tg,
   r.provenance = result.provenance;
 
   cost::CommLedger ledger;
-  r.cost = ledgered_cost(tg, result.routed, r.num_shards, opts, &ledger);
+  r.cost = core::finalize_cost(tg, result.routed, r.num_shards, opts,
+                               nullptr, &ledger);
   r.exposed_fraction = ledger.exposed_fraction;
   r.contributors = aggregate_contributors(tg, result.pruning, ledger,
                                           ropts.top_k, &r.contributor_scopes);
@@ -336,9 +324,10 @@ void attach_baseline_diff(PlanReport* r, const ir::TapGraph& tg,
 
   cost::CommLedger ledger_ours, ledger_theirs;
   const cost::PlanCost cost_ours =
-      ledgered_cost(tg, result.routed, ours.num_shards, opts, &ledger_ours);
-  const cost::PlanCost cost_theirs = ledgered_cost(
-      tg, routed_theirs, theirs.num_shards, opts, &ledger_theirs);
+      core::finalize_cost(tg, result.routed, ours.num_shards, opts, nullptr,
+                          &ledger_ours);
+  const cost::PlanCost cost_theirs = core::finalize_cost(
+      tg, routed_theirs, theirs.num_shards, opts, nullptr, &ledger_theirs);
 
   std::vector<double> exposed_ours, exposed_theirs;
   std::vector<std::int64_t> bytes_ours, bytes_theirs;
@@ -500,14 +489,6 @@ util::JsonValue diff_to_json(const PlanDiff& d) {
   return o;
 }
 
-core::PlanSource plan_source_from_name(const std::string& name) {
-  if (name == "complete") return core::PlanSource::kComplete;
-  if (name == "anytime") return core::PlanSource::kAnytime;
-  if (name == "fallback") return core::PlanSource::kFallback;
-  TAP_CHECK(false) << "unknown plan source '" << name << "'";
-  return core::PlanSource::kComplete;
-}
-
 }  // namespace
 
 std::string to_json(const PlanReport& r) {
@@ -567,11 +548,12 @@ PlanReport from_json(const std::string& json) {
   r.model = doc.at("model").as_string();
   const auto& mesh = doc.at("mesh").items();
   TAP_CHECK(mesh.size() == 2) << "report mesh must be [dp, tp]";
-  r.dp_replicas = static_cast<int>(mesh[0].as_int());
-  r.num_shards = static_cast<int>(mesh[1].as_int());
+  r.dp_replicas = mesh[0].as_int32();
+  r.num_shards = mesh[1].as_int32();
 
   const util::JsonValue& prov = doc.at("provenance");
-  r.provenance.source = plan_source_from_name(prov.at("source").as_string());
+  r.provenance.source =
+      core::plan_source_from_name(prov.at("source").as_string());
   r.provenance.families_searched = prov.at("families_searched").as_int();
   r.provenance.families_total = prov.at("families_total").as_int();
   r.provenance.meshes_searched = prov.at("meshes_searched").as_int();
@@ -604,7 +586,7 @@ PlanReport from_json(const std::string& json) {
   for (const util::JsonValue& e : doc.at("contributors").items()) {
     CommContributor c;
     c.scope = e.at("scope").as_string();
-    c.multiplicity = static_cast<int>(e.at("multiplicity").as_int());
+    c.multiplicity = e.at("multiplicity").as_int32();
     c.events = e.at("events").as_int();
     c.bytes = e.at("bytes").as_int();
     c.seconds = e.at("seconds").as_number();
@@ -614,7 +596,7 @@ PlanReport from_json(const std::string& json) {
   r.contributor_scopes = doc.at("contributor_scopes").as_int();
 
   const util::JsonValue& pruning = doc.at("pruning");
-  r.pruning.fold_depth = static_cast<int>(pruning.at("fold_depth").as_int());
+  r.pruning.fold_depth = pruning.at("fold_depth").as_int32();
   r.pruning.families = pruning.at("families").as_int();
   r.pruning.folded_families = pruning.at("folded_families").as_int();
   r.pruning.duplicate_instances =
@@ -641,7 +623,7 @@ PlanReport from_json(const std::string& json) {
     CriticalStep cs;
     cs.name = e.at("name").as_string();
     cs.category = e.at("category").as_string();
-    cs.lane = static_cast<int>(e.at("lane").as_int());
+    cs.lane = e.at("lane").as_int32();
     cs.start_s = e.at("start_s").as_number();
     cs.duration_s = e.at("duration_s").as_number();
     r.critical_path.steps.push_back(std::move(cs));
@@ -657,7 +639,7 @@ PlanReport from_json(const std::string& json) {
     for (const util::JsonValue& e : diff->at("entries").items()) {
       PlanDiffEntry de;
       de.scope = e.at("scope").as_string();
-      de.multiplicity = static_cast<int>(e.at("multiplicity").as_int());
+      de.multiplicity = e.at("multiplicity").as_int32();
       de.pattern_ours = e.at("pattern_ours").as_string();
       de.pattern_theirs = e.at("pattern_theirs").as_string();
       de.bytes_ours = e.at("bytes_ours").as_int();

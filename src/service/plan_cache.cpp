@@ -151,21 +151,27 @@ std::optional<core::PlanRecord> PlanCache::disk_lookup(
       return record;
     } catch (const util::FaultInjectedError&) {
       continue;  // transient I/O failure: retry with backoff
+    } catch (const core::StalePlanRecordError&) {
+      // Written by code with another record version: not corrupt, just
+      // unusable, so there is nothing to keep for inspection. Delete it;
+      // the caller re-searches and the insert writes a current file.
+      std::remove(path.c_str());
     } catch (const CheckError&) {
-      // Stale version, torn write, or hand-damaged file. Deterministic —
-      // re-reading would reject again every request — so quarantine the
-      // file (one rename) and treat the key as a miss: the caller
-      // re-searches and the insert writes a fresh file at this path.
+      // Torn write or hand-damaged file. Deterministic — re-reading would
+      // reject again every request — so quarantine the file (one rename)
+      // and treat the key as a miss: the caller re-searches and the insert
+      // writes a fresh file at this path.
       if (std::rename(path.c_str(), (path + ".quarantine").c_str()) == 0) {
         cache_metrics().quarantined->add(1);
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.quarantined;
       }
-      cache_metrics().disk_rejects->add(1);
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.disk_rejects;
-      return std::nullopt;
     }
+    // Only a rejected file (stale or corrupt) reaches here.
+    cache_metrics().disk_rejects->add(1);
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.disk_rejects;
+    return std::nullopt;
   }
   // Retries exhausted: the disk tier degrades to a miss, never an error.
   cache_metrics().disk_misses->add(1);

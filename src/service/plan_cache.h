@@ -7,8 +7,9 @@
 //           `disk_dir`, named by the key's version-prefixed hex). Disk
 //           payloads round-trip through core/serialize's PlanRecord, whose
 //           version field is checked BEFORE the body is interpreted: cache
-//           files written by older code (or corrupted on disk) are
-//           rejected and counted, never deserialized into garbage.
+//           files written by other code versions (deleted) or corrupted on
+//           disk (quarantined) are rejected and counted, never
+//           deserialized into garbage.
 //
 // A disk hit is promoted into the memory tier; an insert writes both
 // tiers (the disk write is atomic: temp file + rename, so a crashed or
@@ -18,9 +19,10 @@
 // cache.disk.read / cache.disk.write / cache.disk.rename) are retried
 // with linear backoff and counted (`cache.retry`); a file that parses as
 // garbage is renamed to `*.quarantine` once (`cache.quarantined`) so it
-// is never re-parsed; stale `*.tmp` files from a crashed writer are swept
-// at construction. Every degradation leaves the cache fully usable — the
-// worst case is a re-search.
+// is never re-parsed; a well-formed file of another record version is
+// deleted (it is stale, not corrupt); stale `*.tmp` files from a crashed
+// writer are swept at construction. Every degradation leaves the cache
+// fully usable — the worst case is a re-search.
 #pragma once
 
 #include <cstdint>

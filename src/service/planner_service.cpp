@@ -196,10 +196,7 @@ core::TapResult PlannerService::run_search(const PlanRequest& req,
   // planner failure.
   TAP_FAULT_POINT("service.search");
   if (opts_.search_override) return opts_.search_override(req);
-  std::shared_ptr<const core::FamilySearchPolicy> policy;
-  if (opts_.family_cache)
-    policy = std::make_shared<CachingFamilyPolicy>(families_, nullptr);
-
+  auto policy = std::make_shared<CachingFamilyPolicy>(families_, nullptr);
   return req.sweep_mesh
              ? core::auto_parallel_best_mesh(*req.tg, req.opts, policy,
                                              std::move(cancel))
@@ -232,7 +229,7 @@ core::TapResult PlannerService::fallback_result(const PlanRequest& req,
   core::TapResult r;
   r.best_plan = std::move(plan);
   r.routed = std::move(routed);
-  r.cost = cost::comm_cost(r.routed, tp, req.opts.cluster, req.opts.cost);
+  r.cost = core::finalize_cost(tg, r.routed, tp, req.opts);
   r.pruning = pruning::prune_graph(tg, req.opts.prune);
   r.provenance.source = core::PlanSource::kFallback;
   r.provenance.fallback_reason = reason;

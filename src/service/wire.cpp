@@ -1,6 +1,7 @@
 #include "service/wire.h"
 
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "core/serialize.h"
@@ -13,9 +14,10 @@ namespace tap::service {
 
 namespace {
 
-/// Strict base-10 parse into int64 (whole token must be a number).
-std::int64_t parse_wire_int(const std::string& field,
-                            const std::string& value) {
+/// Strict base-10 parse into T: the whole token must be a number, and
+/// out-of-range values are rejected, not wrapped.
+template <typename T>
+T parse_wire_int(const std::string& field, const std::string& value) {
   TAP_CHECK(!value.empty()) << "empty value for '" << field << "'";
   std::size_t pos = 0;
   long long v = 0;
@@ -24,9 +26,10 @@ std::int64_t parse_wire_int(const std::string& field,
   } catch (const std::exception&) {
     pos = 0;
   }
-  TAP_CHECK(pos == value.size())
+  TAP_CHECK(pos == value.size() && v >= std::numeric_limits<T>::min() &&
+            v <= std::numeric_limits<T>::max())
       << "bad value for '" << field << "': '" << value << "'";
-  return static_cast<std::int64_t>(v);
+  return static_cast<T>(v);
 }
 
 void parse_mesh_string(const std::string& mesh, ModelSpec* spec) {
@@ -70,26 +73,29 @@ ModelSpec model_spec_from_json(const std::string& json) {
   TAP_CHECK(doc.kind() == util::JsonValue::Kind::kObject)
       << "plan request must be a JSON object";
   ModelSpec spec;
-  auto as_int = [](const std::string& key, const util::JsonValue& v) {
+  // Integral and in range (as_int32 / as_int): 1.9 layers is an error,
+  // not 1 layer.
+  auto number = [](const std::string& key,
+                   const util::JsonValue& v) -> const util::JsonValue& {
     TAP_CHECK(v.kind() == util::JsonValue::Kind::kNumber)
         << "'" << key << "' must be a number";
-    return v.as_int();
+    return v;
   };
   for (const auto& [key, value] : doc.members()) {
     if (key == "model") {
       spec.model = value.as_string();
     } else if (key == "layers") {
-      spec.layers = static_cast<int>(as_int(key, value));
+      spec.layers = number(key, value).as_int32();
     } else if (key == "classes") {
-      spec.classes = as_int(key, value);
+      spec.classes = number(key, value).as_int();
     } else if (key == "batch") {
-      spec.batch = as_int(key, value);
+      spec.batch = number(key, value).as_int();
     } else if (key == "nodes") {
-      spec.nodes = static_cast<int>(as_int(key, value));
+      spec.nodes = number(key, value).as_int32();
     } else if (key == "gpus") {
-      spec.gpus = static_cast<int>(as_int(key, value));
+      spec.gpus = number(key, value).as_int32();
     } else if (key == "deadline_ms") {
-      spec.deadline_ms = as_int(key, value);
+      spec.deadline_ms = number(key, value).as_int();
     } else if (key == "mesh") {
       if (value.kind() == util::JsonValue::Kind::kString) {
         parse_mesh_string(value.as_string(), &spec);
@@ -97,8 +103,8 @@ ModelSpec model_spec_from_json(const std::string& json) {
         TAP_CHECK(value.kind() == util::JsonValue::Kind::kArray &&
                   value.items().size() == 2)
             << "'mesh' must be \"auto\", \"DPxTP\", or [dp, tp]";
-        spec.dp = static_cast<int>(as_int(key, value.items()[0]));
-        spec.tp = static_cast<int>(as_int(key, value.items()[1]));
+        spec.dp = number(key, value.items()[0]).as_int32();
+        spec.tp = number(key, value.items()[1]).as_int32();
       }
     } else {
       // Strict by design: a typo'd knob must fail loudly, not silently
@@ -115,17 +121,17 @@ ModelSpec model_spec_from_query(std::string_view target) {
   auto param = [&](const char* key) { return net::query_param(target, key); };
   if (std::string v = param("model"); !v.empty()) spec.model = v;
   if (std::string v = param("layers"); !v.empty())
-    spec.layers = static_cast<int>(parse_wire_int("layers", v));
+    spec.layers = parse_wire_int<int>("layers", v);
   if (std::string v = param("classes"); !v.empty())
-    spec.classes = parse_wire_int("classes", v);
+    spec.classes = parse_wire_int<std::int64_t>("classes", v);
   if (std::string v = param("batch"); !v.empty())
-    spec.batch = parse_wire_int("batch", v);
+    spec.batch = parse_wire_int<std::int64_t>("batch", v);
   if (std::string v = param("nodes"); !v.empty())
-    spec.nodes = static_cast<int>(parse_wire_int("nodes", v));
+    spec.nodes = parse_wire_int<int>("nodes", v);
   if (std::string v = param("gpus"); !v.empty())
-    spec.gpus = static_cast<int>(parse_wire_int("gpus", v));
+    spec.gpus = parse_wire_int<int>("gpus", v);
   if (std::string v = param("deadline_ms"); !v.empty())
-    spec.deadline_ms = parse_wire_int("deadline_ms", v);
+    spec.deadline_ms = parse_wire_int<std::int64_t>("deadline_ms", v);
   if (std::string v = param("mesh"); !v.empty()) parse_mesh_string(v, &spec);
   validate(spec);
   return spec;
@@ -210,8 +216,7 @@ std::string plan_response_json(const ir::TapGraph& tg, const PlanKey& key,
   doc.set("provenance",
           util::JsonValue::string(
               core::plan_source_name(result.provenance.source)));
-  doc.set("plan", util::JsonValue::parse(
-                      core::plan_to_json(tg, result.best_plan)));
+  doc.set("plan", core::plan_to_value(tg, result.best_plan));
   util::JsonValue cost = util::JsonValue::object();
   cost.set("forward_comm_s",
            util::JsonValue::number(result.cost.forward_comm_s));

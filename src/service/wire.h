@@ -76,7 +76,7 @@ inline constexpr int kPlanResponseVersion = 1;
 /// bytes on every shard and transport:
 ///   {"version":1,"key":"v1-...","mesh":[dp,tp],
 ///    "provenance":"complete|anytime|fallback",
-///    "plan":{...core::plan_to_json...},
+///    "plan":{...core::plan_to_value...},
 ///    "cost":{"forward_comm_s":..,"backward_comm_s":..,
 ///            "overlappable_comm_s":..,"comm_bytes":..,"total_s":..},
 ///    "stats":{"candidate_plans":..,"valid_plans":..,

@@ -1,9 +1,10 @@
 #include "util/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
+#include <limits>
 
 #include "util/check.h"
 
@@ -57,7 +58,20 @@ double JsonValue::as_number() const {
 }
 
 std::int64_t JsonValue::as_int() const {
-  return static_cast<std::int64_t>(as_number());
+  const double v = as_number();
+  // [-2^63, 2^63) is exactly representable at both ends, so the cast
+  // below is defined for every value that passes.
+  TAP_CHECK(v == std::floor(v) && v >= -0x1p63 && v < 0x1p63)
+      << "JSON number " << v << " is not an int64";
+  return static_cast<std::int64_t>(v);
+}
+
+int JsonValue::as_int32() const {
+  const std::int64_t v = as_int();
+  TAP_CHECK(v >= std::numeric_limits<int>::min() &&
+            v <= std::numeric_limits<int>::max())
+      << "JSON number " << v << " does not fit an int";
+  return static_cast<int>(v);
 }
 
 const std::string& JsonValue::as_string() const {
@@ -144,18 +158,15 @@ class Parser {
     }
   }
 
+  // expect(), try_consume() and string_body() skip leading whitespace.
   JsonValue object() {
     expect('{');
     JsonValue v = JsonValue::object();
-    skip_ws();
     if (try_consume('}')) return v;
     while (true) {
-      skip_ws();
       std::string key = string_body();
-      skip_ws();
       expect(':');
       v.set(std::move(key), value());
-      skip_ws();
       if (try_consume(',')) continue;
       expect('}');
       return v;
@@ -165,11 +176,9 @@ class Parser {
   JsonValue array() {
     expect('[');
     JsonValue v = JsonValue::array();
-    skip_ws();
     if (try_consume(']')) return v;
     while (true) {
       v.push_back(value());
-      skip_ws();
       if (try_consume(',')) continue;
       expect(']');
       return v;
@@ -207,13 +216,14 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
-      TAP_CHECK(pos_ < text_.size()) << "JSON: unterminated string";
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
+      // Copy the run up to the next quote or backslash in one append.
+      std::size_t stop = pos_;
+      while (stop < text_.size() && text_[stop] != '"' && text_[stop] != '\\')
+        ++stop;
+      TAP_CHECK(stop < text_.size()) << "JSON: unterminated string";
+      out.append(text_.substr(pos_, stop - pos_));
+      pos_ = stop + 1;
+      if (text_[stop] == '"') return out;
       TAP_CHECK(pos_ < text_.size()) << "JSON: unterminated escape";
       const char e = text_[pos_++];
       switch (e) {
@@ -313,16 +323,17 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-std::string number_repr(double v) {
+void append_number(double v, std::string* out) {
+  char buf[64];
   // Exact integers (every count/bytes field) print without a fraction.
   if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 9.007199e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
+    const auto r = std::to_chars(buf, buf + sizeof(buf),
+                                 static_cast<long long>(v));
+    out->append(buf, r.ptr);
+    return;
   }
-  char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  *out += buf;
 }
 
 }  // namespace
@@ -372,44 +383,49 @@ JsonValue JsonValue::parse(std::string_view text) {
 }
 
 std::string JsonValue::dump() const {
-  std::ostringstream os;
+  std::string out;
+  dump_to(&out);
+  return out;
+}
+
+void JsonValue::dump_to(std::string* out) const {
   switch (kind_) {
     case Kind::kNull:
-      os << "null";
+      *out += "null";
       break;
     case Kind::kBool:
-      os << (bool_ ? "true" : "false");
+      *out += bool_ ? "true" : "false";
       break;
     case Kind::kNumber:
-      os << number_repr(num_);
+      append_number(num_, out);
       break;
     case Kind::kString:
-      os << "\"" << json_escape(str_) << "\"";
+      *out += '"';
+      *out += json_escape(str_);
+      *out += '"';
       break;
     case Kind::kArray: {
-      os << "[";
-      bool first = true;
-      for (const JsonValue& v : items_) {
-        if (!first) os << ",";
-        first = false;
-        os << v.dump();
+      *out += '[';
+      for (std::size_t i = 0; i < items_.size(); ++i) {
+        if (i > 0) *out += ',';
+        items_[i].dump_to(out);
       }
-      os << "]";
+      *out += ']';
       break;
     }
     case Kind::kObject: {
-      os << "{";
-      bool first = true;
-      for (const auto& [k, v] : members_) {
-        if (!first) os << ",";
-        first = false;
-        os << "\"" << json_escape(k) << "\":" << v.dump();
+      *out += '{';
+      for (std::size_t i = 0; i < members_.size(); ++i) {
+        if (i > 0) *out += ',';
+        *out += '"';
+        *out += json_escape(members_[i].first);
+        *out += "\":";
+        members_[i].second.dump_to(out);
       }
-      os << "}";
+      *out += '}';
       break;
     }
   }
-  return os.str();
 }
 
 }  // namespace tap::util

@@ -1,10 +1,10 @@
 // Minimal JSON document model: parse + compact dump with order-preserving
-// objects. The report subsystem uses it to round-trip PlanReport JSON
-// (report::from_json) and the tests use it to validate emitted documents.
-// Deliberately small: numbers are doubles (exact for |v| < 2^53, which
-// covers every integer the repo serializes), object key lookup is linear,
-// and the parser accepts standard JSON (escapes incl. \uXXXX, decoded to
-// UTF-8) throwing util::CheckError on malformed input.
+// objects. It is the repo's one JSON codec: plans, plan-cache records,
+// plan responses, model specs and PlanReports are all read and written
+// through it. Deliberately small: numbers are doubles (exact for
+// |v| < 2^53, which covers every integer the repo serializes), object key
+// lookup is linear, and the parser accepts standard JSON (escapes incl.
+// \uXXXX, decoded to UTF-8) throwing util::CheckError on malformed input.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +50,8 @@ class JsonValue {
   // Typed accessors; requesting the wrong kind throws CheckError.
   bool as_bool() const;
   double as_number() const;
-  std::int64_t as_int() const;  ///< as_number(), truncated
+  std::int64_t as_int() const;  ///< as_number(): integral, int64 range
+  int as_int32() const;         ///< as_int(), in int range
   const std::string& as_string() const;
   const std::vector<JsonValue>& items() const;  ///< array elements
   const std::vector<std::pair<std::string, JsonValue>>& members()
@@ -70,6 +71,9 @@ class JsonValue {
   std::string dump() const;
 
  private:
+  /// dump(), appended to `out` (one buffer for the whole document).
+  void dump_to(std::string* out) const;
+
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   double num_ = 0.0;

@@ -543,6 +543,27 @@ TEST(Wire, QuerySpecMatchesJsonSpec) {
             service::model_spec_to_json(from_json));
 }
 
+TEST(Wire, NonIntegralSpecNumbersAre400) {
+  // 1.9 layers is a malformed request, not 1 layer.
+  service::PlannerService svc;
+  PlanHandler handler(&svc, {});
+  HttpMessage post;
+  post.method = "POST";
+  post.target = "/plan";
+  for (const char* body :
+       {R"({"model":"t5","layers":1.9})", R"({"model":"t5","batch":16.5})",
+        R"({"model":"t5","layers":1e300})",
+        R"({"model":"t5","layers":4294967297})",
+        R"({"model":"t5","mesh":[2.5,4]})"}) {
+    post.body = body;
+    EXPECT_EQ(handler.handle(post).status, 400) << body;
+  }
+  HttpMessage get;
+  get.method = "GET";
+  get.target = "/explain?model=t5&layers=4294967297";
+  EXPECT_EQ(handler.handle(get).status, 400);
+}
+
 /// One small fixed-mesh problem the end-to-end tests share (fixed mesh
 /// keeps the search fast; determinism is mesh-agnostic).
 service::ModelSpec small_spec() {

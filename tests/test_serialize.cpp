@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <sstream>
+
 #include "baselines/expert_plans.h"
 #include "core/tap.h"
 #include "ir/lowering.h"
@@ -59,7 +62,7 @@ TEST(Serialize, JsonMentionsMeshAndPatterns) {
   Fixture f(1);
   auto plan = baselines::megatron_plan(f.tg, 8);
   std::string json = plan_to_json(f.tg, plan);
-  EXPECT_NE(json.find("\"mesh\": [1, 8]"), std::string::npos);
+  EXPECT_NE(json.find("\"mesh\":[1,8]"), std::string::npos);
   EXPECT_NE(json.find("split_col"), std::string::npos);
   EXPECT_NE(json.find("mha/q"), std::string::npos);
 }
@@ -111,6 +114,38 @@ TEST(Serialize, WhitespaceTolerant) {
 // PlanRecord (the service plan-cache payload)
 // ---------------------------------------------------------------------------
 
+/// `rec` spelled the way the version-2 writer spelled records before
+/// writers went compact: two-space indent, ", " separators.
+std::string whitespaced_record(const PlanRecord& rec) {
+  auto exact = [](double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return std::string(buf);
+  };
+  std::ostringstream os;
+  os << "{\n  \"version\": " << kPlanRecordVersion << ",\n  \"mesh\": ["
+     << rec.plan.dp_replicas << ", " << rec.plan.num_shards
+     << "],\n  \"choice\": [";
+  for (std::size_t i = 0; i < rec.plan.choice.size(); ++i)
+    os << (i ? ", " : "") << rec.plan.choice[i];
+  os << "],\n  \"cost\": [" << exact(rec.cost.forward_comm_s) << ", "
+     << exact(rec.cost.backward_comm_s) << ", "
+     << exact(rec.cost.overlappable_comm_s) << ", " << rec.cost.comm_bytes
+     << "],\n  \"stats\": [" << rec.stats.candidate_plans << ", "
+     << rec.stats.valid_plans << ", " << rec.stats.nodes_visited << ", "
+     << rec.stats.cost_queries << "],\n  \"coverage\": ["
+     << rec.families_searched << ", " << rec.families_total << ", "
+     << rec.meshes_searched << ", " << rec.meshes_total
+     << "],\n  \"timings\": [";
+  for (std::size_t i = 0; i < rec.timings.size(); ++i) {
+    os << (i ? ", " : "") << "[\"" << rec.timings[i].pass << "\", "
+       << exact(rec.timings[i].seconds) << "]";
+  }
+  os << "],\n  \"search_seconds\": " << exact(rec.search_seconds)
+     << "\n}\n";
+  return os.str();
+}
+
 PlanRecord searched_record(const Fixture& f) {
   TapOptions opts;
   opts.cluster = cost::ClusterSpec::v100_cluster(2);
@@ -159,6 +194,11 @@ TEST(PlanRecord, RoundTripsEverythingExactly) {
     EXPECT_EQ(back.timings[i].pass, rec.timings[i].pass);
     EXPECT_EQ(back.timings[i].seconds, rec.timings[i].seconds);
   }
+
+  // Files written before writers went compact stay readable: the same
+  // record in the whitespaced spelling decodes to the same record.
+  PlanRecord legacy = plan_record_from_json(f.tg, whitespaced_record(rec));
+  EXPECT_EQ(plan_record_to_json(f.tg, legacy), plan_record_to_json(f.tg, rec));
 }
 
 TEST(PlanRecord, RoundTripsAwkwardDoubles) {
@@ -167,16 +207,18 @@ TEST(PlanRecord, RoundTripsAwkwardDoubles) {
   rec.plan = sharding::default_plan(f.tg, 8, 2);
   rec.cost.forward_comm_s = 0.1;  // not exactly representable
   rec.cost.backward_comm_s = 1.0 / 3.0;
-  rec.cost.overlappable_comm_s = kInvalidPlanCost;  // "inf" round-trips
   rec.search_seconds = 6.02214076e23;
   rec.timings.push_back({"FamilySearch", 5e-324});  // min subnormal
   PlanRecord back = plan_record_from_json(f.tg, plan_record_to_json(f.tg, rec));
   EXPECT_EQ(back.cost.forward_comm_s, rec.cost.forward_comm_s);
   EXPECT_EQ(back.cost.backward_comm_s, rec.cost.backward_comm_s);
-  EXPECT_EQ(back.cost.overlappable_comm_s, kInvalidPlanCost);
   EXPECT_EQ(back.search_seconds, rec.search_seconds);
   ASSERT_EQ(back.timings.size(), 1u);
   EXPECT_EQ(back.timings[0].seconds, 5e-324);
+
+  // JSON cannot spell inf, so the writer refuses it.
+  rec.cost.overlappable_comm_s = kInvalidPlanCost;
+  EXPECT_THROW(plan_record_to_json(f.tg, rec), CheckError);
 }
 
 TEST(PlanRecord, VersionIsFirstKeyAndMismatchRejected) {
@@ -187,12 +229,12 @@ TEST(PlanRecord, VersionIsFirstKeyAndMismatchRejected) {
   ASSERT_LT(json.find("\"version\""), json.find("\"mesh\""));
 
   // Same payload claiming a future version must be rejected up front.
-  std::string vkey = "\"version\": " + std::to_string(kPlanRecordVersion);
+  std::string vkey = "\"version\":" + std::to_string(kPlanRecordVersion);
   auto pos = json.find(vkey);
   ASSERT_NE(pos, std::string::npos);
   std::string future = json;
   future.replace(pos, vkey.size(),
-                 "\"version\": " + std::to_string(kPlanRecordVersion + 1));
+                 "\"version\":" + std::to_string(kPlanRecordVersion + 1));
   EXPECT_THROW(plan_record_from_json(f.tg, future), CheckError);
 }
 

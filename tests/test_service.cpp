@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -430,6 +431,29 @@ TEST(PlannerService, CorruptedDiskFileIsRejectedAndResearched) {
   EXPECT_EQ(svc3.stats().searches, 0u);
 }
 
+/// Plans `tg` once into the disk tier of `sopts`, then rewrites the
+/// record's bytes with `edit`. Returns the record's path.
+std::string plan_then_edit_record(
+    const ir::TapGraph& tg, const core::TapOptions& opts,
+    const ServiceOptions& sopts,
+    const std::function<void(std::string*)>& edit) {
+  std::string file;
+  {
+    PlannerService svc(sopts);
+    svc.plan({&tg, opts, false});
+    file = svc.cache().disk_path(svc.key_for({&tg, opts, false}));
+  }
+  std::stringstream buf;
+  {
+    std::ifstream in(file);
+    buf << in.rdbuf();
+  }
+  std::string payload = buf.str();
+  edit(&payload);
+  std::ofstream(file, std::ios::trunc) << payload;
+  return file;
+}
+
 TEST(PlannerService, VersionMismatchedDiskFileIsRejected) {
   Graph g = models::build_transformer(models::t5_with_layers(1));
   ir::TapGraph tg = ir::lower(g);
@@ -440,34 +464,71 @@ TEST(PlannerService, VersionMismatchedDiskFileIsRejected) {
   sopts.cache.disk_dir = dir.path;
   sopts.request_threads = 1;
 
-  std::string file;
+  // Rewrite the valid payload claiming a future format version.
+  plan_then_edit_record(tg, opts, sopts, [](std::string* payload) {
+    const std::string vkey =
+        "\"version\":" + std::to_string(core::kPlanRecordVersion);
+    const auto pos = payload->find(vkey);
+    ASSERT_NE(pos, std::string::npos);
+    payload->replace(pos, vkey.size(), "\"version\":999");
+  });
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
   {
     PlannerService svc(sopts);
-    svc.plan({&tg, opts, false});
-    file = svc.cache().disk_path(svc.key_for({&tg, opts, false}));
+    const core::TapResult r = svc.plan({&tg, opts, false});
+    EXPECT_TRUE(r.routed.valid);
+    EXPECT_EQ(svc.cache_stats().disk_rejects, 1u);
+    EXPECT_EQ(svc.stats().searches, 1u);
+    // A stale version is not corruption: the file is deleted (and
+    // rewritten by the re-search), never quarantined.
+    EXPECT_EQ(svc.cache_stats().quarantined, 0u);
+    for (const auto& e : fs::directory_iterator(dir.path))
+      EXPECT_NE(e.path().extension(), ".quarantine") << e.path();
   }
-  // Rewrite the valid payload claiming a future format version.
-  std::stringstream buf;
-  {
-    std::ifstream in(file);
-    buf << in.rdbuf();
-  }
-  std::string payload = buf.str();
-  const std::string vkey =
-      "\"version\": " + std::to_string(core::kPlanRecordVersion);
-  const auto pos = payload.find(vkey);
-  ASSERT_NE(pos, std::string::npos);
-  payload.replace(pos, vkey.size(), "\"version\": 999");
-  {
-    std::ofstream out(file, std::ios::trunc);
-    out << payload;
-  }
-
+  // The rewritten file is current: the next lookup is a disk hit.
   PlannerService svc(sopts);
-  const core::TapResult r = svc.plan({&tg, opts, false});
-  EXPECT_TRUE(r.routed.valid);
-  EXPECT_EQ(svc.cache_stats().disk_rejects, 1u);
-  EXPECT_EQ(svc.stats().searches, 1u);
+  svc.plan({&tg, opts, false});
+  EXPECT_EQ(svc.cache_stats().disk_hits, 1u);
+  EXPECT_EQ(svc.stats().searches, 0u);
+}
+
+TEST(PlannerService, OutOfRangeDiskRecordIsQuarantined) {
+  // A record whose integer overflows int64 is corrupt like any other:
+  // quarantined once, re-searched, and the rewritten file then hits.
+  Graph g = models::build_transformer(models::t5_with_layers(1));
+  ir::TapGraph tg = ir::lower(g);
+  core::TapOptions opts = small_cluster_opts();
+
+  TempDir dir("out_of_range");
+  ServiceOptions sopts;
+  sopts.cache.disk_dir = dir.path;
+  sopts.request_threads = 1;
+
+  // Replace the first "stats" entry with a number beyond int64.
+  const std::string file =
+      plan_then_edit_record(tg, opts, sopts, [](std::string* payload) {
+        const auto open = payload->find('[', payload->find("\"stats\""));
+        ASSERT_NE(open, std::string::npos);
+        const auto comma = payload->find(',', open);
+        payload->replace(open + 1, comma - open - 1,
+                         "123456789012345678901234567890");
+      });
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+  {
+    PlannerService svc(sopts);
+    const core::TapResult r = svc.plan({&tg, opts, false});
+    EXPECT_TRUE(r.routed.valid);
+    EXPECT_EQ(svc.cache_stats().disk_rejects, 1u);
+    EXPECT_EQ(svc.cache_stats().quarantined, 1u);
+    EXPECT_EQ(svc.stats().searches, 1u);
+    EXPECT_TRUE(fs::exists(file + ".quarantine"));
+  }
+  PlannerService svc(sopts);
+  svc.plan({&tg, opts, false});
+  EXPECT_EQ(svc.cache_stats().disk_hits, 1u);
+  EXPECT_EQ(svc.stats().searches, 0u);
 }
 
 TEST(PlannerService, CachedExplainMatchesColdReport) {
