@@ -25,6 +25,7 @@ int main() {
   sharding::FamilyPlanEnumerator e(w.tg, *block, cluster.world());
   std::vector<double> comm, simt;
   std::vector<int> choice;
+  const cost::WindowTerms terms(w.tg, cluster.world(), 1, cluster);
   while (e.next(&choice)) {
     sharding::ShardingPlan plan =
         sharding::default_plan(w.tg, cluster.world());
@@ -32,8 +33,8 @@ int main() {
     auto routed = sharding::route_plan(w.tg, plan);
     if (!routed.valid) continue;
     cost::CostOptions copts;
-    copts.overlap_window_s = cost::backward_compute_window(
-        w.tg, routed, nullptr, cluster.world(), cluster);
+    copts.overlap_window_s =
+        cost::backward_compute_window(terms, routed, nullptr);
     comm.push_back(
         cost::comm_cost(routed, cluster.world(), cluster, copts).total());
     simt.push_back(

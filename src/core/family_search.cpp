@@ -25,6 +25,24 @@ thread_local ScoreArena score_arena;
 
 }  // namespace
 
+FamilySearchContext::FamilySearchContext(const ir::TapGraph& tg,
+                                         const TapOptions& opts,
+                                         const sharding::PatternTable& table)
+    : tg_(tg),
+      opts_(opts),
+      table_(table),
+      window_terms_(tg, opts.num_shards, opts.dp_replicas, opts.cluster,
+                    &table) {}
+
+FamilyRouteFacts FamilySearchContext::prepare(
+    const SubgraphFamily& family) const {
+  FamilyRouteFacts facts;
+  facts.family = &family;
+  facts.topo_members = sharding::topo_sorted_members(tg_, family.member_nodes);
+  facts.exit = sharding::subgraph_exit_member(tg_, family.member_nodes);
+  return facts;
+}
+
 std::int64_t FamilySearchContext::weight_bytes(
     const SubgraphFamily& family, const ShardingPlan& plan) const {
   const Graph& g = *tg_.source();
@@ -48,25 +66,25 @@ std::int64_t FamilySearchContext::weight_bytes(
 }
 
 bool FamilySearchContext::score(const ShardingPlan& plan,
-                                const SubgraphFamily& family,
+                                const FamilyRouteFacts& facts,
                                 FamilyScore* out, SearchStats* stats) const {
+  const SubgraphFamily& family = *facts.family;
   stats->nodes_visited +=
       static_cast<std::int64_t>(family.member_nodes.size());
   ScoreArena& arena = score_arena;
-  sharding::route_subgraph_into(tg_, plan, family.member_nodes,
+  sharding::route_subgraph_into(tg_, plan, facts.topo_members,
                                 sharding::ShardSpec::replicate(), &table_,
                                 &arena.routing, &arena.probe);
   if (!arena.probe.valid) return false;
-  const auto exit_spec =
-      sharding::subgraph_exit_spec(tg_, arena.probe, family.member_nodes);
-  sharding::route_subgraph_into(tg_, plan, family.member_nodes, exit_spec,
+  const sharding::ShardSpec exit_spec =
+      arena.probe.output_spec[static_cast<std::size_t>(facts.exit)];
+  sharding::route_subgraph_into(tg_, plan, facts.topo_members, exit_spec,
                                 &table_, &arena.routing, &arena.routed);
   if (!arena.routed.valid) return false;
   ++stats->cost_queries;
   cost::CostOptions copts = opts_.cost;
   copts.overlap_window_s = cost::backward_compute_window(
-      tg_, arena.routed, &family.member_nodes, opts_.num_shards,
-      opts_.cluster, &table_);
+      window_terms_, arena.routed, &family.member_nodes);
   const cost::PlanCost plan_cost =
       cost::comm_cost(arena.routed, plan.num_shards, opts_.cluster, copts);
   out->comm = plan_cost.total();
@@ -95,6 +113,7 @@ FamilySearchOutcome ExhaustivePolicy::search(
   FamilySearchOutcome out;
   FamilyPlanEnumerator enumerator(ctx.graph(), family,
                                   ctx.options().num_shards);
+  const FamilyRouteFacts facts = ctx.prepare(family);
   ShardingPlan scratch = base;
   FamilyScore best;
   std::vector<int> choice;
@@ -102,7 +121,7 @@ FamilySearchOutcome ExhaustivePolicy::search(
     ++out.stats.candidate_plans;
     sharding::apply_family_choice(family, choice, &scratch);
     FamilyScore s;
-    if (!ctx.score(scratch, family, &s, &out.stats)) continue;
+    if (!ctx.score(scratch, facts, &s, &out.stats)) continue;
     ++out.stats.valid_plans;
     // better_than is strict, so ties keep the earliest candidate.
     if (!out.found || s.better_than(best)) {
@@ -118,6 +137,7 @@ FamilySearchOutcome GreedyPolicy::search(const FamilySearchContext& ctx,
                                          const SubgraphFamily& family,
                                          const ShardingPlan& base) const {
   FamilySearchOutcome out;
+  const FamilyRouteFacts facts = ctx.prepare(family);
   ShardingPlan scratch = base;
   std::vector<int> choice(family.member_nodes.size(), 0);
   for (std::size_t j = 0; j < family.member_nodes.size(); ++j) {
@@ -130,7 +150,7 @@ FamilySearchOutcome GreedyPolicy::search(const FamilySearchContext& ctx,
       ++out.stats.candidate_plans;
       sharding::apply_family_choice(family, choice, &scratch);
       FamilyScore s;
-      if (!ctx.score(scratch, family, &s, &out.stats)) continue;
+      if (!ctx.score(scratch, facts, &s, &out.stats)) continue;
       ++out.stats.valid_plans;
       if (!have_local || s.better_than(best_local)) {
         have_local = true;

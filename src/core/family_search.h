@@ -32,6 +32,17 @@ struct FamilyScore {
   }
 };
 
+/// The plan-independent route facts of one family, computed once per
+/// family search (FamilySearchContext::prepare) and read by every
+/// candidate's score().
+struct FamilyRouteFacts {
+  const pruning::SubgraphFamily* family = nullptr;
+  /// The members in topological order: the router's visit order.
+  std::vector<ir::GraphNodeId> topo_members;
+  /// sharding::subgraph_exit_member of the members.
+  ir::GraphNodeId exit = ir::kInvalidGraphNode;
+};
+
 /// Read-only scoring facilities shared by every policy, bound to one
 /// (graph, options, pattern table) triple. All methods are const and
 /// thread-safe: the FamilySearch pass calls them concurrently for
@@ -39,23 +50,25 @@ struct FamilyScore {
 class FamilySearchContext {
  public:
   FamilySearchContext(const ir::TapGraph& tg, const TapOptions& opts,
-                      const sharding::PatternTable& table)
-      : tg_(tg), opts_(opts), table_(table) {}
+                      const sharding::PatternTable& table);
 
   const ir::TapGraph& graph() const { return tg_; }
   const TapOptions& options() const { return opts_; }
   const sharding::PatternTable& table() const { return table_; }
 
-  /// Steady-state subgraph score of `plan` restricted to `family`
+  /// The route facts of `family`, for the score() calls of one search.
+  FamilyRouteFacts prepare(const pruning::SubgraphFamily& family) const;
+
+  /// Steady-state subgraph score of `plan` restricted to the family
   /// (Algorithm 3 over the members only: route once with a replicated
   /// boundary to learn the exit layout, then route again with
   /// boundary = exit and cost that route with cost::comm_cost over the
   /// members' backward-compute overlap window). Both routes reuse a
-  /// thread-local routing scratch, so a candidate allocates nothing once
+  /// thread-local routing scratch and the window sums precomputed
+  /// addends, so a candidate formats, sorts and allocates nothing once
   /// capacities settle. Returns false when the candidate does not route.
-  bool score(const sharding::ShardingPlan& plan,
-             const pruning::SubgraphFamily& family, FamilyScore* out,
-             SearchStats* stats) const;
+  bool score(const sharding::ShardingPlan& plan, const FamilyRouteFacts& facts,
+             FamilyScore* out, SearchStats* stats) const;
 
   /// Full-graph communication cost of `plan` — the O(V+E) cost query the
   /// whole-graph baseline policies issue per trial. Returns false when the
@@ -72,6 +85,7 @@ class FamilySearchContext {
   const ir::TapGraph& tg_;
   const TapOptions& opts_;
   const sharding::PatternTable& table_;
+  const cost::WindowTerms window_terms_;
 };
 
 /// Result of one family search.

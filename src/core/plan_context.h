@@ -66,8 +66,16 @@ struct TapOptions {
 
 /// The one recipe that prices a finished plan (FinalizeCost, GlobalRefine,
 /// fallbacks, reports, loaded plans): comm_cost under opts.cost with the
-/// model-wide backward-compute overlap window. `table` optionally serves
-/// pattern lookups; `ledger` optionally receives the attribution.
+/// model-wide backward-compute overlap window. `terms` must be built for
+/// the routed plan's mesh; `ledger` optionally receives the attribution.
+cost::PlanCost finalize_cost(const cost::WindowTerms& terms,
+                             const sharding::RoutedPlan& routed,
+                             const TapOptions& opts,
+                             cost::CommLedger* ledger = nullptr);
+
+/// finalize_cost for a one-off price: builds the window terms for
+/// (num_shards, routed.dp_replicas). `table` optionally serves pattern
+/// lookups.
 cost::PlanCost finalize_cost(const ir::TapGraph& tg,
                              const sharding::RoutedPlan& routed,
                              int num_shards, const TapOptions& opts,

@@ -197,9 +197,11 @@ void GlobalRefinePass::run(PlanContext& ctx) const {
   TAP_CHECK(ctx.plan.choice.size() == tg.num_nodes())
       << "GlobalRefine requires FamilySearch";
   const sharding::PatternTable& table = *ctx.table;
+  const cost::WindowTerms terms(tg, ctx.opts.num_shards, ctx.opts.dp_replicas,
+                                ctx.opts.cluster, &table);
 
   auto cost_of = [&](const sharding::RoutedPlan& r) {
-    return finalize_cost(tg, r, ctx.opts.num_shards, ctx.opts, &table).total();
+    return finalize_cost(terms, r, ctx.opts).total();
   };
 
   ctx.routed = sharding::route_plan(tg, ctx.plan, &table);
@@ -250,15 +252,25 @@ void FinalizeCostPass::run(PlanContext& ctx) const {
   ++ctx.stats.cost_queries;
 }
 
+cost::PlanCost finalize_cost(const cost::WindowTerms& terms,
+                             const sharding::RoutedPlan& routed,
+                             const TapOptions& opts,
+                             cost::CommLedger* ledger) {
+  cost::CostOptions copts = opts.cost;
+  copts.overlap_window_s =
+      cost::backward_compute_window(terms, routed, nullptr);
+  return cost::comm_cost(routed, terms.num_shards(), opts.cluster, copts,
+                         ledger);
+}
+
 cost::PlanCost finalize_cost(const ir::TapGraph& tg,
                              const sharding::RoutedPlan& routed,
                              int num_shards, const TapOptions& opts,
                              const sharding::PatternTable* table,
                              cost::CommLedger* ledger) {
-  cost::CostOptions copts = opts.cost;
-  copts.overlap_window_s = cost::backward_compute_window(
-      tg, routed, nullptr, num_shards, opts.cluster, table);
-  return cost::comm_cost(routed, num_shards, opts.cluster, copts, ledger);
+  return finalize_cost(cost::WindowTerms(tg, num_shards, routed.dp_replicas,
+                                         opts.cluster, table),
+                       routed, opts, ledger);
 }
 
 }  // namespace tap::core

@@ -77,8 +77,7 @@ PlanCost comm_cost(const sharding::RoutedPlan& routed, int num_shards,
       le.seconds = t;
       // Overlappable entries get their share of the discount below.
       le.exposed_seconds = e.overlappable ? 0.0 : t;
-      le.reason = e.reason;
-      ledger->entries.push_back(std::move(le));
+      ledger->entries.push_back(le);
     }
   }
   double exposed_overlap;
@@ -101,41 +100,59 @@ PlanCost comm_cost(const sharding::RoutedPlan& routed, int num_shards,
   return cost;
 }
 
-double backward_compute_window(const ir::TapGraph& tg,
-                               const sharding::RoutedPlan& routed,
-                               const std::vector<ir::GraphNodeId>* members,
-                               int num_shards, const ClusterSpec& cluster,
-                               const sharding::PatternTable* table) {
-  TAP_CHECK(routed.valid);
+WindowTerms::WindowTerms(const ir::TapGraph& tg, int num_shards,
+                         int dp_replicas, const ClusterSpec& cluster,
+                         const sharding::PatternTable* table)
+    : num_shards_(num_shards), dp_replicas_(std::max(1, dp_replicas)) {
   const Graph& g = *tg.source();
-  double window = 0.0;
-  std::vector<sharding::ShardingPattern> patterns_storage;
-  auto add = [&](ir::GraphNodeId id) {
-    const auto& n = tg.node(id);
-    const auto& pats =
-        table != nullptr
-            ? table->at(id)
-            : patterns_storage =
-                  sharding::patterns_for(tg, id, num_shards,
-                                         routed.dp_replicas);
-    const auto& pat = pats[static_cast<std::size_t>(
-        routed.pattern_index[static_cast<std::size_t>(id)])];
-    const sharding::ShardSpec& ospec =
-        routed.output_spec[static_cast<std::size_t>(id)];
-    const double dp = static_cast<double>(std::max(1, routed.dp_replicas));
-    const double shrink =
-        dp * ((ospec.is_split() || pat.weight.is_split())
-                  ? static_cast<double>(num_shards)
-                  : 1.0);
+  const double dp = static_cast<double>(dp_replicas_);
+  const double unsplit_shrink = dp * 1.0;
+  const double split_shrink = dp * static_cast<double>(num_shards);
+  begin_.reserve(tg.num_nodes() + 1);
+  weight_split_.reserve(tg.num_nodes());
+  std::vector<sharding::ShardingPattern> storage;
+  for (const auto& n : tg.nodes()) {
+    begin_.push_back(static_cast<std::uint32_t>(unsplit_.size()));
     for (NodeId op : n.ops) {
-      window += op_time(g.node(op), g, cluster, shrink) *
-                backward_factor(g.node(op).kind);
+      const Node& node = g.node(op);
+      const double f = backward_factor(node.kind);
+      const double u = op_time(node, g, cluster, unsplit_shrink) * f;
+      const double s = op_time(node, g, cluster, split_shrink) * f;
+      if (u == 0.0 && s == 0.0) continue;
+      unsplit_.push_back(u);
+      split_.push_back(s);
     }
+    if (table == nullptr)
+      storage = sharding::patterns_for(tg, n.id, num_shards, dp_replicas_);
+    const auto& pats = table != nullptr ? table->at(n.id) : storage;
+    TAP_CHECK_LE(pats.size(), 64u);
+    std::uint64_t bits = 0;
+    for (std::size_t c = 0; c < pats.size(); ++c)
+      if (pats[c].weight.is_split()) bits |= std::uint64_t{1} << c;
+    weight_split_.push_back(bits);
+  }
+  begin_.push_back(static_cast<std::uint32_t>(unsplit_.size()));
+}
+
+double backward_compute_window(const WindowTerms& terms,
+                               const sharding::RoutedPlan& routed,
+                               const std::vector<ir::GraphNodeId>* members) {
+  TAP_CHECK(routed.valid);
+  TAP_CHECK_EQ(std::max(1, routed.dp_replicas), terms.dp_replicas_);
+  double window = 0.0;
+  auto add = [&](std::size_t id) {
+    const bool split =
+        routed.output_spec[id].is_split() ||
+        ((terms.weight_split_[id] >> routed.pattern_index[id]) & 1u) != 0;
+    const std::vector<double>& addends =
+        split ? terms.split_ : terms.unsplit_;
+    for (std::uint32_t k = terms.begin_[id]; k < terms.begin_[id + 1]; ++k)
+      window += addends[k];
   };
   if (members != nullptr) {
-    for (ir::GraphNodeId id : *members) add(id);
+    for (ir::GraphNodeId id : *members) add(static_cast<std::size_t>(id));
   } else {
-    for (const auto& n : tg.nodes()) add(n.id);
+    for (std::size_t id = 0; id + 1 < terms.begin_.size(); ++id) add(id);
   }
   return window;
 }

@@ -62,7 +62,6 @@ struct CommLedgerEntry {
   std::int64_t bytes = 0;  ///< logical bytes over all `count` launches
   double seconds = 0.0;
   double exposed_seconds = 0.0;
-  std::string reason;  ///< routing reason ("reshard ...", "pattern ...")
 };
 
 /// The per-collective breakdown comm_cost() optionally fills: one entry
@@ -96,14 +95,50 @@ PlanCost comm_cost(const sharding::RoutedPlan& routed, int num_shards,
                    const ClusterSpec& cluster, const CostOptions& opts = {},
                    CommLedger* ledger = nullptr);
 
+/// The per-op addends of the backward-compute overlap window for one
+/// (graph, mesh, cluster): `op_time(op, shrink) * backward_factor(op)`
+/// under both shrinks a cluster can take — dp when its output and primary
+/// weight stay replicated, dp × num_shards when either is split — plus,
+/// per cluster and pattern index, whether the pattern splits the weight.
+/// Built once per planning pass, so scoring a candidate sums precomputed
+/// doubles instead of re-deriving the roofline of every op.
+class WindowTerms {
+ public:
+  /// `table` serves the pattern lists (nullptr rebuilds them with
+  /// patterns_for).
+  WindowTerms(const ir::TapGraph& tg, int num_shards, int dp_replicas,
+              const ClusterSpec& cluster,
+              const sharding::PatternTable* table = nullptr);
+
+  int num_shards() const { return num_shards_; }
+  int dp_replicas() const { return dp_replicas_; }
+
+ private:
+  friend double backward_compute_window(
+      const WindowTerms& terms, const sharding::RoutedPlan& routed,
+      const std::vector<ir::GraphNodeId>* members);
+
+  int num_shards_;
+  int dp_replicas_;
+  /// Cluster `id`'s addends are [begin_[id], begin_[id + 1]) of both
+  /// arrays, in the cluster's op order; ops that cost nothing (aux,
+  /// placeholders) are left out, which changes no sum.
+  std::vector<std::uint32_t> begin_;
+  std::vector<double> unsplit_;
+  std::vector<double> split_;
+  /// Bit c of weight_split_[id]: pattern c of cluster `id` splits its
+  /// primary weight.
+  std::vector<std::uint64_t> weight_split_;
+};
+
 /// Backward-pass compute time of the clusters in `members` (nullptr = the
 /// whole graph) under the routed plan's sharding — the overlap window fed
-/// into CostOptions::overlap_window_s.
-double backward_compute_window(const ir::TapGraph& tg,
+/// into CostOptions::overlap_window_s. The one window formula: it sums
+/// `terms`' addends in member order and op order. `routed` must use the
+/// mesh `terms` was built for.
+double backward_compute_window(const WindowTerms& terms,
                                const sharding::RoutedPlan& routed,
-                               const std::vector<ir::GraphNodeId>* members,
-                               int num_shards, const ClusterSpec& cluster,
-                               const sharding::PatternTable* table = nullptr);
+                               const std::vector<ir::GraphNodeId>* members);
 
 // ---------------------------------------------------------------------------
 // Training-technique options (§4.8: AMP / recomputation / ZeRO are

@@ -41,9 +41,10 @@ struct Router {
 
   void emit(Collective kind, std::int64_t bytes, int count,
             CommEvent::Phase phase, bool overlappable, GraphNodeId node,
-            std::string reason,
-            GraphNodeId src = ir::kInvalidGraphNode, int group = 0,
-            bool cross_node = false) {
+            CommEvent::Why why, GraphNodeId src = ir::kInvalidGraphNode,
+            int group = 0, bool cross_node = false,
+            const ShardSpec& from = ShardSpec::replicate(),
+            const ShardSpec& to = ShardSpec::replicate()) {
     if (kind == Collective::kNone || bytes <= 0) return;
     if (group == 0) group = plan.num_shards;
     if (group <= 1) return;  // degenerate group: no wire traffic
@@ -57,8 +58,10 @@ struct Router {
     e.src = src;
     e.group = group;
     e.cross_node = cross_node;
-    e.reason = std::move(reason);
-    out.comms.push_back(std::move(e));
+    e.from_spec = from;
+    e.to_spec = to;
+    e.why = why;
+    out.comms.push_back(e);
   }
 
   /// Per-replica bytes of an activation tensor: the batch is pre-split
@@ -98,33 +101,26 @@ struct Router {
       if (layouts.empty()) scratch.materialized_touched.push_back(producer);
       layouts.push_back(want);
     }
-    const std::size_t before = out.comms.size();
-    if (want.is_replicate()) {
-      emit(Collective::kAllGather, act_bytes(tensor.size_bytes()), 1,
-           CommEvent::Phase::kForward, false, consumer.id,
-           "reshard " + have.to_string() + "->R", producer);
-      if (out.comms.size() > before) {
-        out.comms.back().from_spec = have;
-        out.comms.back().to_spec = want;
-      }
-      emit(Collective::kReduceScatter, act_bytes(tensor.size_bytes()), 1,
-           CommEvent::Phase::kBackward, false, consumer.id,
-           "grad of reshard " + have.to_string() + "->R", producer);
-      return true;
-    }
-    // split(a) -> split(b)
-    emit(Collective::kAllToAll, act_bytes(tensor.size_bytes()), 1,
+    // replicate target: AllGather, mirrored by a backward ReduceScatter;
+    // split(a) -> split(b): AllToAll both ways.
+    const bool gather = want.is_replicate();
+    const std::int64_t bytes = act_bytes(tensor.size_bytes());
+    emit(gather ? Collective::kAllGather : Collective::kAllToAll, bytes, 1,
          CommEvent::Phase::kForward, false, consumer.id,
-         "reshard " + have.to_string() + "->" + want.to_string(), producer);
-    if (out.comms.size() > before) {
-      out.comms.back().from_spec = have;
-      out.comms.back().to_spec = want;
-    }
-    emit(Collective::kAllToAll, act_bytes(tensor.size_bytes()), 1,
-         CommEvent::Phase::kBackward, false, consumer.id,
-         "grad of reshard " + have.to_string() + "->" + want.to_string(),
-         producer);
+         CommEvent::Why::kReshard, producer, 0, false, have, want);
+    emit(gather ? Collective::kReduceScatter : Collective::kAllToAll, bytes,
+         1, CommEvent::Phase::kBackward, false, consumer.id,
+         CommEvent::Why::kReshardGrad, producer, 0, false, have, want);
     return true;
+  }
+
+  /// Layout of producer `p`'s output as a consumer sees it: its routed
+  /// spec once this route has written it, `boundary` for a producer outside
+  /// the routed set.
+  const ShardSpec& spec_of(GraphNodeId p) const {
+    const auto i = static_cast<std::size_t>(p);
+    return scratch.written[i] == scratch.route_stamp ? out.output_spec[i]
+                                                     : boundary;
   }
 
   bool run() {
@@ -135,9 +131,23 @@ struct Router {
     out.dp_replicas = plan.dp_replicas;
     out.comms.clear();
     out.edge_conversions.clear();
-    out.output_spec.assign(tg.num_nodes(), boundary);
-    out.pattern_index.assign(tg.num_nodes(), 0);
     TAP_CHECK_EQ(plan.choice.size(), tg.num_nodes());
+    // A whole-graph route specifies every entry; a subgraph route writes
+    // only its members' entries — O(members), not O(V) (Table 2) — and
+    // producers outside it read `boundary` through the route stamp.
+    if (members == nullptr) {
+      out.output_spec.assign(tg.num_nodes(), boundary);
+      out.pattern_index.assign(tg.num_nodes(), 0);
+    } else {
+      out.output_spec.resize(tg.num_nodes());
+      out.pattern_index.resize(tg.num_nodes());
+    }
+    if (scratch.written.size() < tg.num_nodes())
+      scratch.written.resize(tg.num_nodes(), 0);
+    if (++scratch.route_stamp == 0) {  // wrapped: no entry may look fresh
+      std::fill(scratch.written.begin(), scratch.written.end(), 0u);
+      scratch.route_stamp = 1;
+    }
 
     // Reset reused scratch in O(entries the previous route touched).
     for (GraphNodeId id : scratch.igrad_touched)
@@ -148,17 +158,10 @@ struct Router {
     scratch.materialized_touched.clear();
 
     // Visit order: the whole graph topologically, or just the subgraph
-    // members sorted by cached topological position — candidate
+    // members, which the caller passes in topological order — candidate
     // evaluation must cost O(members), not O(V) (Table 2).
-    if (members != nullptr) {
-      scratch.sorted_members.assign(members->begin(), members->end());
-      std::sort(scratch.sorted_members.begin(), scratch.sorted_members.end(),
-                [&](GraphNodeId a, GraphNodeId b) {
-                  return tg.topo_position(a) < tg.topo_position(b);
-                });
-    }
     const std::vector<GraphNodeId>& scope =
-        members == nullptr ? tg.cached_topo_order() : scratch.sorted_members;
+        members == nullptr ? tg.cached_topo_order() : *members;
 
     // Algorithm 3 walks the DAG from roots to leaves; a topological order
     // visits each node exactly once with all producers resolved.
@@ -185,7 +188,7 @@ struct Router {
       const TensorSpec* in_tensor = nullptr;
       if (!n.inputs.empty()) {
         GraphNodeId p = n.inputs.front();
-        incoming = out.output_spec[static_cast<std::size_t>(p)];
+        incoming = spec_of(p);
         in_tensor = &tg.node(p).output;
       }
 
@@ -213,7 +216,7 @@ struct Router {
       for (std::size_t i = 1; i < n.inputs.size(); ++i) {
         GraphNodeId p = n.inputs[i];
         const TensorSpec& t = tg.node(p).output;
-        ShardSpec have = out.output_spec[static_cast<std::size_t>(p)];
+        ShardSpec have = spec_of(p);
         // Only meaningful when shapes are compatible; smaller side tensors
         // (labels, router probs) just need *a* consistent layout — treat
         // mismatched ranks as replicated requirements.
@@ -234,17 +237,18 @@ struct Router {
         }
       }
       out.output_spec[static_cast<std::size_t>(id)] = produced;
+      scratch.written[static_cast<std::size_t>(id)] = scratch.route_stamp;
 
       // Pattern collectives.
       if (pat.forward_comm != Collective::kNone) {
         emit(pat.forward_comm, act_bytes(n.output.size_bytes()),
              pat.forward_comm_count, CommEvent::Phase::kForward, false, id,
-             "pattern:" + pat.name);
+             CommEvent::Why::kPattern);
         if (pat.forward_comm == Collective::kAllToAll) {
           // Expert dispatch/combine repeats on the gradient path.
           emit(pat.forward_comm, act_bytes(n.output.size_bytes()),
                pat.forward_comm_count, CommEvent::Phase::kBackward, false,
-               id, "grad:" + pat.name);
+               id, CommEvent::Why::kPatternGrad);
         }
       }
       if (n.has_weight()) {
@@ -271,7 +275,7 @@ struct Router {
             if (w.trainable) wbytes += w.weight->size_bytes();
           }
           emit(Collective::kAllReduce, wbytes, 1, CommEvent::Phase::kBackward,
-               true, id, "wgrad:" + pat.name, ir::kInvalidGraphNode,
+               true, id, CommEvent::Why::kWeightGrad, ir::kInvalidGraphNode,
                replicated_group, /*cross_node=*/dp > 1);
         } else {
           // Primary weight is split (its gradients stay local); secondary
@@ -294,7 +298,8 @@ struct Router {
             }
           }
           emit(Collective::kAllReduce, wbytes, 1,
-               CommEvent::Phase::kBackward, true, id, "wgrad:secondary",
+               CommEvent::Phase::kBackward, true, id,
+               CommEvent::Why::kSecondaryWeightGrad,
                ir::kInvalidGraphNode, replicated_group,
                /*cross_node=*/dp > 1);
           if (dp > 1 && primary_bytes > 0) {
@@ -302,7 +307,7 @@ struct Router {
             // shard across the dp replicas.
             emit(Collective::kAllReduce, primary_bytes / plan.num_shards, 1,
                  CommEvent::Phase::kBackward, true, id,
-                 "wgrad:dp-shard:" + pat.name, ir::kInvalidGraphNode, dp,
+                 CommEvent::Why::kShardWeightGrad, ir::kInvalidGraphNode, dp,
                  /*cross_node=*/true);
           }
         }
@@ -319,7 +324,7 @@ struct Router {
             scratch.igrad_touched.push_back(n.inputs.front());
             emit(pat.backward_comm, act_bytes(in_tensor->size_bytes()), 1,
                  CommEvent::Phase::kBackward, false, id,
-                 "igrad:" + pat.name, n.inputs.front());
+                 CommEvent::Why::kInputGrad, n.inputs.front());
           }
         }
       }
@@ -372,16 +377,17 @@ RoutedPlan route_subgraph(const ir::TapGraph& tg, const ShardingPlan& plan,
                           const PatternTable* table) {
   RoutedPlan out;
   RoutingScratch scratch;
-  route_subgraph_into(tg, plan, members, boundary, table, &scratch, &out);
+  route_subgraph_into(tg, plan, topo_sorted_members(tg, members), boundary,
+                      table, &scratch, &out);
   return out;
 }
 
 void route_subgraph_into(const ir::TapGraph& tg, const ShardingPlan& plan,
-                         const std::vector<ir::GraphNodeId>& members,
+                         const std::vector<ir::GraphNodeId>& topo_members,
                          const ShardSpec& boundary, const PatternTable* table,
                          RoutingScratch* scratch, RoutedPlan* out) {
   TAP_CHECK(scratch != nullptr && out != nullptr);
-  Router r{tg, plan, &members, boundary, table, *scratch, *out};
+  Router r{tg, plan, &topo_members, boundary, table, *scratch, *out};
   r.run();
 }
 
@@ -393,11 +399,20 @@ void route_plan_into(const ir::TapGraph& tg, const ShardingPlan& plan,
   r.run();
 }
 
-ShardSpec subgraph_exit_spec(const ir::TapGraph& tg, const RoutedPlan& routed,
-                             const std::vector<ir::GraphNodeId>& members) {
-  if (members.empty()) return ShardSpec::replicate();
-  // O(members): find the member with the highest topo position that feeds
-  // a consumer outside the set (membership tested via sorted ids).
+std::vector<ir::GraphNodeId> topo_sorted_members(
+    const ir::TapGraph& tg, const std::vector<ir::GraphNodeId>& members) {
+  std::vector<GraphNodeId> sorted = members;
+  std::sort(sorted.begin(), sorted.end(), [&](GraphNodeId a, GraphNodeId b) {
+    return tg.topo_position(a) < tg.topo_position(b);
+  });
+  return sorted;
+}
+
+ir::GraphNodeId subgraph_exit_member(
+    const ir::TapGraph& tg, const std::vector<ir::GraphNodeId>& members) {
+  if (members.empty()) return ir::kInvalidGraphNode;
+  // Membership via sorted ids; the exit has the highest topo position
+  // among members that feed a consumer outside the set.
   std::vector<GraphNodeId> sorted = members;
   std::sort(sorted.begin(), sorted.end());
   auto in_set = [&](GraphNodeId id) {
@@ -413,8 +428,52 @@ ShardSpec subgraph_exit_spec(const ir::TapGraph& tg, const RoutedPlan& routed,
       exit = id;
     }
   }
-  if (exit == ir::kInvalidGraphNode) exit = members.back();
-  return routed.output_spec[static_cast<std::size_t>(exit)];
+  return exit == ir::kInvalidGraphNode ? members.back() : exit;
+}
+
+std::string comm_reason(const ir::TapGraph& tg, const RoutedPlan& routed,
+                        const CommEvent& e, const PatternTable* table) {
+  using Why = CommEvent::Why;
+  const char* prefix = "";
+  switch (e.why) {
+    case Why::kReshard:
+    case Why::kReshardGrad: {
+      std::string out =
+          e.why == Why::kReshard ? "reshard " : "grad of reshard ";
+      out += e.from_spec.to_string();
+      out += "->";
+      out += e.to_spec.to_string();
+      return out;
+    }
+    case Why::kSecondaryWeightGrad:
+      return "wgrad:secondary";
+    case Why::kPattern:
+      prefix = "pattern:";
+      break;
+    case Why::kPatternGrad:
+      prefix = "grad:";
+      break;
+    case Why::kWeightGrad:
+      prefix = "wgrad:";
+      break;
+    case Why::kShardWeightGrad:
+      prefix = "wgrad:dp-shard:";
+      break;
+    case Why::kInputGrad:
+      prefix = "igrad:";
+      break;
+  }
+  const auto c = static_cast<std::size_t>(
+      routed.pattern_index[static_cast<std::size_t>(e.node)]);
+  std::string out = prefix;
+  if (table != nullptr) {
+    out += table->at(e.node)[c].name;
+  } else {
+    out += patterns_for(tg, e.node, routed.num_shards,
+                        std::max(1, routed.dp_replicas))[c]
+               .name;
+  }
+  return out;
 }
 
 }  // namespace tap::sharding

@@ -23,6 +23,27 @@ namespace tap::sharding {
 /// One collective the routed plan requires.
 struct CommEvent {
   enum class Phase : std::uint8_t { kForward, kBackward };
+  /// Why the router emitted the collective; comm_reason() spells it
+  /// lazily (simulator trace names, tests), so routing a candidate formats
+  /// nothing:
+  ///   kReshard             "reshard <from>-><to>" (forward layout change)
+  ///   kReshardGrad         "grad of reshard <from>-><to>"
+  ///   kPattern             "pattern:<name>" (the pattern's collective)
+  ///   kPatternGrad         "grad:<name>" (its AllToAll on the gradient path)
+  ///   kWeightGrad          "wgrad:<name>" (replicated-weight gradient sync)
+  ///   kSecondaryWeightGrad "wgrad:secondary"
+  ///   kShardWeightGrad     "wgrad:dp-shard:<name>" (split weight over dp)
+  ///   kInputGrad           "igrad:<name>" (partial input-gradient sum)
+  enum class Why : std::uint8_t {
+    kReshard,
+    kReshardGrad,
+    kPattern,
+    kPatternGrad,
+    kWeightGrad,
+    kSecondaryWeightGrad,
+    kShardWeightGrad,
+    kInputGrad,
+  };
 
   Collective kind = Collective::kNone;
   /// Full logical bytes of the tensor being communicated (already scaled
@@ -45,10 +66,10 @@ struct CommEvent {
   ir::GraphNodeId node = ir::kInvalidGraphNode;
   /// For reshard events: the producer cluster of the converted edge.
   ir::GraphNodeId src = ir::kInvalidGraphNode;
-  /// For reshard events: the layouts being converted between.
+  /// For both events of a reshard: the layouts being converted between.
   ShardSpec from_spec = ShardSpec::replicate();
   ShardSpec to_spec = ShardSpec::replicate();
-  std::string reason;
+  Why why = Why::kPattern;
 };
 
 /// One edge whose tensor must change layout between producer and consumer
@@ -68,9 +89,12 @@ struct RoutedPlan {
   /// The mesh the plan was routed for (copied from the ShardingPlan).
   int num_shards = 1;
   int dp_replicas = 1;
-  /// Resolved output layout per GraphNode.
+  /// Resolved output layout per GraphNode. A subgraph route
+  /// (route_subgraph*) resolves only its members: the entries of other
+  /// GraphNodes are unspecified.
   std::vector<ShardSpec> output_spec;
-  /// Resolved pattern per GraphNode (index into patterns_for).
+  /// Resolved pattern per GraphNode (index into patterns_for); same
+  /// member-only rule for subgraph routes.
   std::vector<int> pattern_index;
   std::vector<CommEvent> comms;
   /// Layout changes per edge (see EdgeConversion).
@@ -89,7 +113,6 @@ struct RoutedPlan {
 /// (FamilySearchContext keeps one per search thread). Default-constructed
 /// scratch is valid for any graph.
 struct RoutingScratch {
-  std::vector<ir::GraphNodeId> sorted_members;
   /// Producers whose partial input-gradient AllReduce is already emitted,
   /// indexed by GraphNodeId; `igrad_touched` lists the set entries so the
   /// next route clears them in O(touched), not O(V).
@@ -101,6 +124,11 @@ struct RoutingScratch {
   std::vector<ir::GraphNodeId> materialized_touched;
   /// Pattern storage for table-less routing.
   std::vector<ShardingPattern> patterns;
+  /// written[id] == route_stamp once the current route has resolved
+  /// GraphNode id's output layout; every route takes a fresh stamp, so
+  /// nothing is cleared between routes.
+  std::vector<std::uint32_t> written;
+  std::uint32_t route_stamp = 0;
 };
 
 /// Routes `plan` over the whole TapGraph. Always returns a RoutedPlan;
@@ -109,25 +137,28 @@ RoutedPlan route_plan(const ir::TapGraph& tg, const ShardingPlan& plan,
                       const PatternTable* table = nullptr);
 
 /// Routes only the GraphNodes in `members` (one pruned-subgraph family
-/// instance); tensors entering from outside the subgraph are assumed to
-/// arrive in layout `boundary`. This is what makes TAP's candidate
-/// evaluation O(E / 2CL) (Table 2): the 729 T5-block candidates each touch
-/// one block, not the whole model. For chained blocks, evaluate in steady
-/// state: route once with a replicated boundary to learn the exit layout,
-/// then score with boundary = exit layout.
+/// instance, in any order); tensors entering from outside the subgraph
+/// are assumed to arrive in layout `boundary`. This is what makes TAP's
+/// candidate evaluation O(E / 2CL) (Table 2): the 729 T5-block candidates
+/// each touch one block, not the whole model. For chained blocks, evaluate
+/// in steady state: route once with a replicated boundary to learn the
+/// exit layout (subgraph_exit_member), then score with boundary = exit
+/// layout.
 RoutedPlan route_subgraph(
     const ir::TapGraph& tg, const ShardingPlan& plan,
     const std::vector<ir::GraphNodeId>& members,
     const ShardSpec& boundary = ShardSpec::replicate(),
     const PatternTable* table = nullptr);
 
-/// route_subgraph into caller-owned buffers: `out`'s vectors and
-/// `scratch` are cleared and reused instead of reallocated, so repeated
-/// candidate evaluation (FamilySearchContext::score) allocates nothing
-/// once capacities warm up. `out` must not alias a RoutedPlan reachable
-/// from `scratch`. Results are identical to route_subgraph.
+/// route_subgraph into caller-owned buffers, for members ALREADY in
+/// topological order (sort them once per family with
+/// topo_sorted_members): `out`'s vectors and `scratch` are cleared and
+/// reused instead of reallocated, so repeated candidate evaluation
+/// (FamilySearchContext::score) allocates nothing once capacities warm
+/// up. `out` must not alias a RoutedPlan reachable from `scratch`. Results
+/// are identical to route_subgraph.
 void route_subgraph_into(const ir::TapGraph& tg, const ShardingPlan& plan,
-                         const std::vector<ir::GraphNodeId>& members,
+                         const std::vector<ir::GraphNodeId>& topo_members,
                          const ShardSpec& boundary, const PatternTable* table,
                          RoutingScratch* scratch, RoutedPlan* out);
 
@@ -137,10 +168,25 @@ void route_plan_into(const ir::TapGraph& tg, const ShardingPlan& plan,
                      const PatternTable* table, RoutingScratch* scratch,
                      RoutedPlan* out);
 
-/// Layout a routed subgraph hands to downstream consumers: the output spec
-/// of the last member (in topological order) with a consumer outside
-/// `members` (or the last member overall).
-ShardSpec subgraph_exit_spec(const ir::TapGraph& tg, const RoutedPlan& routed,
-                             const std::vector<ir::GraphNodeId>& members);
+/// `members` sorted by topological position: the router's visit order.
+std::vector<ir::GraphNodeId> topo_sorted_members(
+    const ir::TapGraph& tg, const std::vector<ir::GraphNodeId>& members);
+
+/// The member whose layout a routed subgraph hands to downstream
+/// consumers: the last member (in topological order) with a consumer
+/// outside `members` or no consumer at all, else `members.back()`;
+/// kInvalidGraphNode for an empty set. It depends on the graph only, not
+/// on the plan, so a family search finds it once; the exit layout of a
+/// route is `routed.output_spec[exit]`.
+ir::GraphNodeId subgraph_exit_member(
+    const ir::TapGraph& tg, const std::vector<ir::GraphNodeId>& members);
+
+/// The label of a routed collective, e.g. "reshard S(1)->R",
+/// "pattern:split_col" or "wgrad:dp-shard:split_row". Pattern names are
+/// looked up through `routed.pattern_index` in `table` (or rebuilt with
+/// patterns_for when it is null), so only diagnostics pay for the string.
+std::string comm_reason(const ir::TapGraph& tg, const RoutedPlan& routed,
+                        const CommEvent& e,
+                        const PatternTable* table = nullptr);
 
 }  // namespace tap::sharding

@@ -64,10 +64,7 @@ TEST(AutoParallel, BeatsOrMatchesDataParallelCost) {
       f.tg, baselines::data_parallel_plan(f.tg, 16));
   // Cost DP the same way auto_parallel does: exposed gradient comm is what
   // the backward-compute window cannot hide.
-  cost::CostOptions copts = opts.cost;
-  copts.overlap_window_s =
-      cost::backward_compute_window(f.tg, dp, nullptr, 16, opts.cluster);
-  double dp_cost = cost::comm_cost(dp, 16, opts.cluster, copts).total();
+  double dp_cost = finalize_cost(f.tg, dp, 16, opts).total();
   EXPECT_LE(r.cost.total(), dp_cost * 1.0001);
 }
 

@@ -170,6 +170,46 @@ TEST(CostModel, MegatronHasForwardComm) {
   EXPECT_LT(cost.overlappable_comm_s, 0.7 * dp.overlappable_comm_s);
 }
 
+TEST(CostModel, WindowTermsSumTheRooflineOfEveryOpBitExactly) {
+  // The overlap window reads precomputed addends; the sum must equal the
+  // roofline summed op by op in member order, to the last bit.
+  PlanFixture f(models::build_transformer(models::t5_with_layers(2)));
+  const ClusterSpec c = ClusterSpec::v100_cluster(2);
+  sharding::ShardingPlan plan = f.megatron(8);
+  plan.dp_replicas = 2;
+  const auto routed = f.route(plan);
+  ASSERT_TRUE(routed.valid) << routed.error;
+  const Graph& g = *f.tg.source();
+  auto direct = [&](const std::vector<ir::GraphNodeId>& ids) {
+    double window = 0.0;
+    for (ir::GraphNodeId id : ids) {
+      const auto pats = sharding::patterns_for(f.tg, id, 8, 2);
+      const auto& pat = pats[static_cast<std::size_t>(
+          routed.pattern_index[static_cast<std::size_t>(id)])];
+      const bool split =
+          routed.output_spec[static_cast<std::size_t>(id)].is_split() ||
+          pat.weight.is_split();
+      const double shrink = 2.0 * (split ? 8.0 : 1.0);
+      for (NodeId op : f.tg.node(id).ops)
+        window += op_time(g.node(op), g, c, shrink) *
+                  backward_factor(g.node(op).kind);
+    }
+    return window;
+  };
+  const WindowTerms terms(f.tg, 8, 2, c);
+  std::vector<ir::GraphNodeId> all;
+  for (const auto& n : f.tg.nodes()) all.push_back(n.id);
+  EXPECT_EQ(backward_compute_window(terms, routed, nullptr), direct(all));
+  // A member subset in non-topological order sums in the given order.
+  const std::vector<ir::GraphNodeId> some = {all[7], all[3], all[11]};
+  EXPECT_EQ(backward_compute_window(terms, routed, &some), direct(some));
+  EXPECT_GT(direct(some), 0.0);
+  // The terms belong to one mesh.
+  const WindowTerms other(f.tg, 8, 1, c);
+  EXPECT_THROW(backward_compute_window(other, routed, nullptr),
+               tap::CheckError);
+}
+
 TEST(CostModel, InvalidPlanRefused) {
   PlanFixture f(models::build_transformer(models::t5_with_layers(1)));
   sharding::ShardingPlan plan = sharding::default_plan(f.tg, 8);

@@ -6,7 +6,7 @@
 // them deliberately and say so.
 //
 // To regenerate after an intended plan change, run
-//   tap_tests --gtest_filter='PlanDigests.*'
+//   tap_tests --gtest_filter='*PlanDigests*'
 // and copy the "got" digests from the failure messages.
 #include <gtest/gtest.h>
 
@@ -159,7 +159,7 @@ TEST_P(PlanDigests, ResponseAndReasonsMatchPinnedDigests) {
   ASSERT_TRUE(routed.valid) << routed.error;
   std::string reasons;
   for (const sharding::CommEvent& e : routed.comms) {
-    reasons += e.reason;
+    reasons += sharding::comm_reason(tg, routed, e);
     reasons += '\n';
   }
   EXPECT_EQ(hex(util::hash128_str(reasons)), c.reasons_digest) << c.label;

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <type_traits>
+
+#include "baselines/expert_plans.h"
 #include "ir/lowering.h"
 #include "models/models.h"
+#include "pruning/prune.h"
 #include "sharding/enumerate.h"
 
 namespace tap::sharding {
@@ -76,7 +81,7 @@ TEST(Routing, MegatronStyleAttentionHasTwoAllReducesPerBlock) {
   for (const auto& e : r.comms) {
     if (e.phase == CommEvent::Phase::kForward &&
         e.kind == Collective::kAllReduce &&
-        e.reason.rfind("pattern:", 0) == 0 &&
+        comm_reason(f.tg, r, e).rfind("pattern:", 0) == 0 &&
         f.tg.node(e.node).name.find("block_0") != std::string::npos) {
       ++fwd_pattern_allreduce;
     }
@@ -95,12 +100,13 @@ TEST(Routing, SplitColFeedsSplitRowWithoutReshard) {
   // input: no reshard at the activation (ffn#1) or at wo. (Resharding at
   // wi's *entry* is expected — the surrounding plan is data parallel.)
   for (const auto& e : r.comms) {
-    if (e.reason.rfind("reshard", 0) == 0) {
+    const std::string reason = comm_reason(f.tg, r, e);
+    if (reason.rfind("reshard", 0) == 0) {
       const std::string& where = f.tg.node(e.node).name;
       EXPECT_EQ(where.find("ffn/wo"), std::string::npos)
-          << e.reason << " at " << where;
+          << reason << " at " << where;
       EXPECT_EQ(where.find("ffn#1"), std::string::npos)
-          << e.reason << " at " << where;
+          << reason << " at " << where;
     }
   }
 }
@@ -115,7 +121,7 @@ TEST(Routing, LoneSplitColTriggersGatherAtNormBoundary) {
   ASSERT_TRUE(r.valid) << r.error;
   bool reshard_seen = false;
   for (const auto& e : r.comms)
-    reshard_seen |= e.reason.rfind("reshard", 0) == 0;
+    reshard_seen |= comm_reason(f.tg, r, e).rfind("reshard", 0) == 0;
   EXPECT_TRUE(reshard_seen);
 }
 
@@ -156,7 +162,7 @@ TEST(Routing, CommEventsCarryReasonsAndBytes) {
   RoutedPlan r = route_plan(f.tg, plan);
   for (const auto& e : r.comms) {
     EXPECT_GT(e.bytes, 0);
-    EXPECT_FALSE(e.reason.empty());
+    EXPECT_FALSE(comm_reason(f.tg, r, e).empty());
     EXPECT_NE(e.node, ir::kInvalidGraphNode);
   }
 }
@@ -281,6 +287,149 @@ TEST(Plan, DescribePlanListsPatterns) {
   ShardingPlan plan = default_plan(f.tg, 8);
   std::string desc = describe_plan(f.tg, plan);
   EXPECT_NE(desc.find("dp"), std::string::npos);
+}
+
+// A routed collective carries no string: its label is spelled on demand.
+static_assert(std::is_trivially_copyable_v<CommEvent>);
+
+TEST(Routing, CommReasonSpellsEveryKind) {
+  std::set<CommEvent::Why> kinds;
+  std::set<std::string> reasons;
+  auto collect = [&](const TapGraph& tg, const ShardingPlan& plan) {
+    const RoutedPlan r = route_plan(tg, plan);
+    ASSERT_TRUE(r.valid) << r.error;
+    for (const CommEvent& e : r.comms) {
+      kinds.insert(e.why);
+      reasons.insert(comm_reason(tg, r, e));
+    }
+  };
+  {
+    // A lone split_col: its S(-1) output is converted to S(0) for wo and
+    // gathered back to R at the next norm.
+    Fixture f = t5();
+    ShardingPlan plan = default_plan(f.tg, 8);
+    set_pattern(f.tg, &plan, "t5_1l/encoder/block_0/ffn/wi", "split_col");
+    collect(f.tg, plan);
+  }
+  {
+    // Megatron under dp=2: partial-sum AllReduces, input-gradient sums,
+    // and the split weights' dp sync.
+    Fixture f = t5(2);
+    ShardingPlan plan = baselines::megatron_plan(f.tg, 8);
+    plan.dp_replicas = 2;
+    collect(f.tg, plan);
+  }
+  {
+    // Expert parallelism: AllToAll both ways, and the router weight stays
+    // replicated beside the split expert bank.
+    models::MoeConfig cfg;
+    cfg.name = "tinymoe";
+    cfg.num_layers = 1;
+    cfg.moe_every = 1;
+    cfg.d_model = 16;
+    cfg.d_ff = 32;
+    cfg.num_heads = 2;
+    cfg.num_experts = 4;
+    cfg.vocab = 16;
+    cfg.batch = 2;
+    cfg.seq_len = 8;
+    Fixture f(models::build_moe_transformer(cfg));
+    ShardingPlan plan = default_plan(f.tg, 2);
+    set_pattern(f.tg, &plan, "tinymoe/encoder/block_0/moe",
+                "expert_parallel");
+    collect(f.tg, plan);
+  }
+  EXPECT_EQ(kinds.size(), 8u);
+  for (const char* want :
+       {"reshard S(0)->R", "grad of reshard S(0)->R", "reshard S(-1)->S(0)",
+        "grad of reshard S(-1)->S(0)", "pattern:split_row",
+        "pattern:expert_parallel", "grad:expert_parallel", "wgrad:dp",
+        "wgrad:secondary", "wgrad:dp-shard:split_col", "igrad:split_col"}) {
+    EXPECT_EQ(reasons.count(want), 1u) << want;
+  }
+}
+
+TEST(Routing, BothEventsOfAReshardCarryTheirLayouts) {
+  Fixture f = t5();
+  ShardingPlan plan = default_plan(f.tg, 8);
+  set_pattern(f.tg, &plan, "t5_1l/encoder/block_0/ffn/wi", "split_col");
+  const RoutedPlan r = route_plan(f.tg, plan);
+  ASSERT_TRUE(r.valid) << r.error;
+  int reshards = 0;
+  for (std::size_t i = 0; i < r.comms.size(); ++i) {
+    if (r.comms[i].why != CommEvent::Why::kReshard) continue;
+    ++reshards;
+    ASSERT_LT(i + 1, r.comms.size());
+    const CommEvent& fwd = r.comms[i];
+    const CommEvent& bwd = r.comms[i + 1];
+    EXPECT_EQ(bwd.why, CommEvent::Why::kReshardGrad);
+    EXPECT_EQ(bwd.from_spec, fwd.from_spec);
+    EXPECT_EQ(bwd.to_spec, fwd.to_spec);
+    EXPECT_TRUE(fwd.from_spec.is_split());
+  }
+  EXPECT_GT(reshards, 0);
+}
+
+TEST(Routing, SubgraphRouteThroughReusedScratchMatchesFreshRoute) {
+  // Subgraph routes write only their members' entries; a producer outside
+  // the members must read the boundary layout, whatever earlier routes
+  // through the same scratch left behind.
+  Fixture f = t5(2);
+  PatternTable table(f.tg, 8, 1);
+  const ShardingPlan plan = baselines::megatron_plan(f.tg, 8);
+  const pruning::PruneResult pr = pruning::prune_graph(f.tg);
+  RoutingScratch scratch;
+  RoutedPlan reused;
+  int compared = 0;
+  for (int round = 0; round < 2; ++round) {
+    route_plan_into(f.tg, plan, &table, &scratch, &reused);
+    ASSERT_TRUE(reused.valid) << reused.error;
+    for (const pruning::SubgraphFamily& fam : pr.families) {
+      const std::vector<ir::GraphNodeId> members =
+          topo_sorted_members(f.tg, fam.member_nodes);
+      for (const ShardSpec boundary :
+           {ShardSpec::replicate(), ShardSpec::split(0)}) {
+        route_subgraph_into(f.tg, plan, members, boundary, &table, &scratch,
+                            &reused);
+        const RoutedPlan fresh =
+            route_subgraph(f.tg, plan, fam.member_nodes, boundary, &table);
+        ASSERT_EQ(reused.valid, fresh.valid) << fresh.error;
+        ASSERT_EQ(reused.comms.size(), fresh.comms.size());
+        for (std::size_t i = 0; i < fresh.comms.size(); ++i) {
+          EXPECT_EQ(reused.comms[i].why, fresh.comms[i].why);
+          EXPECT_EQ(reused.comms[i].bytes, fresh.comms[i].bytes);
+          EXPECT_EQ(reused.comms[i].from_spec, fresh.comms[i].from_spec);
+          EXPECT_EQ(reused.comms[i].to_spec, fresh.comms[i].to_spec);
+        }
+        for (ir::GraphNodeId id : members) {
+          const auto i = static_cast<std::size_t>(id);
+          EXPECT_EQ(reused.output_spec[i], fresh.output_spec[i]);
+          EXPECT_EQ(reused.pattern_index[i], fresh.pattern_index[i]);
+        }
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 4);
+}
+
+TEST(Routing, ExitMemberIsTheLastMemberFeedingOutside) {
+  Fixture f = t5(2);
+  const pruning::PruneResult pr = pruning::prune_graph(f.tg);
+  for (const pruning::SubgraphFamily& fam : pr.families) {
+    const ir::GraphNodeId exit = subgraph_exit_member(f.tg, fam.member_nodes);
+    ASSERT_NE(exit, ir::kInvalidGraphNode) << fam.representative;
+    // No later member (topologically) has a consumer outside the set.
+    const std::set<ir::GraphNodeId> in_set(fam.member_nodes.begin(),
+                                           fam.member_nodes.end());
+    for (ir::GraphNodeId id : fam.member_nodes) {
+      if (f.tg.topo_position(id) <= f.tg.topo_position(exit)) continue;
+      for (ir::GraphNodeId c : f.tg.consumers(id))
+        EXPECT_EQ(in_set.count(c), 1u) << f.tg.node(id).name;
+      EXPECT_FALSE(f.tg.consumers(id).empty()) << f.tg.node(id).name;
+    }
+  }
+  EXPECT_EQ(subgraph_exit_member(f.tg, {}), ir::kInvalidGraphNode);
 }
 
 }  // namespace
