@@ -1,9 +1,11 @@
 #include "core/serialize.h"
 
 #include <cmath>
+#include <cstdio>
 #include <string_view>
 
 #include "util/check.h"
+#include "util/hash.h"
 
 namespace tap::core {
 
@@ -14,8 +16,8 @@ namespace {
 /// PlanRecord keys, in the one order the writer emits and the reader
 /// accepts.
 constexpr std::string_view kRecordKeys[] = {
-    "version", "mesh",     "choice",  "cost",
-    "stats",   "coverage", "timings", "search_seconds"};
+    "version",  "mesh",    "choice",         "cost",    "stats",
+    "coverage", "timings", "search_seconds", "checksum"};
 
 JsonValue int_array(std::initializer_list<std::int64_t> values) {
   JsonValue a = JsonValue::array();
@@ -120,10 +122,10 @@ sharding::ShardingPlan plan_from_json(const ir::TapGraph& tg,
   return plan_from_value(tg, JsonValue::parse(json));
 }
 
-std::string plan_record_to_json(const ir::TapGraph& tg,
-                                const PlanRecord& record) {
-  TAP_CHECK_EQ(record.plan.choice.size(), tg.num_nodes())
-      << "record does not cover the graph";
+namespace {
+
+/// The record's content in the writer's key order, without the checksum.
+JsonValue record_content(const PlanRecord& record) {
   JsonValue choice = JsonValue::array();
   for (int c : record.plan.choice) choice.push_back(JsonValue::number(c));
   JsonValue cost = JsonValue::array();
@@ -154,6 +156,30 @@ std::string plan_record_to_json(const ir::TapGraph& tg,
                      record.meshes_searched, record.meshes_total}));
   doc.set("timings", std::move(timings));
   doc.set("search_seconds", finite(record.search_seconds));
+  return doc;
+}
+
+/// Hex util::Hash128 of the compact spelling of `content`: the record's
+/// canonical content, so any decoded value that differs from what was
+/// written changes it, whatever the file's whitespace.
+std::string content_checksum(const JsonValue& content) {
+  const util::Hash128 h = util::hash128_str(content.dump());
+  char buf[33];
+  std::snprintf(buf, sizeof buf, "%016llx%016llx",
+                static_cast<unsigned long long>(h.hi),
+                static_cast<unsigned long long>(h.lo));
+  return buf;
+}
+
+}  // namespace
+
+std::string plan_record_to_json(const ir::TapGraph& tg,
+                                const PlanRecord& record) {
+  TAP_CHECK_EQ(record.plan.choice.size(), tg.num_nodes())
+      << "record does not cover the graph";
+  JsonValue doc = record_content(record);
+  const std::string checksum = content_checksum(doc);
+  doc.set("checksum", JsonValue::string(checksum));
   return doc.dump();
 }
 
@@ -224,6 +250,12 @@ PlanRecord plan_record_from_json(const ir::TapGraph& tg,
   }
 
   record.search_seconds = field(7).as_number();
+
+  // Last: the stored checksum must match the content as decoded. A record
+  // damaged in a way that still parses and validates (two choices
+  // swapped, a cost digit changed) is corrupt, not a hit.
+  TAP_CHECK(field(8).as_string() == content_checksum(record_content(record)))
+      << "plan record: checksum mismatch";
   return record;
 }
 

@@ -52,13 +52,15 @@ sharding::ShardingPlan plan_from_json(const ir::TapGraph& tg,
 // guarantees a structurally identical graph with identical deterministic
 // node ids, and positional storage keeps renamed but structurally equal
 // graphs servable. Layout, keys in exactly this order:
-//   {"version":2,"mesh":[dp,tp],"choice":[c,...],"cost":[forward_s,
+//   {"version":3,"mesh":[dp,tp],"choice":[c,...],"cost":[forward_s,
 //    backward_s,overlappable_s,bytes],"stats":[candidates,valid,visited,
 //    cost_queries],"coverage":[families_searched,families_total,
 //    meshes_searched,meshes_total],"timings":[["<pass>",s],...],
-//    "search_seconds":s}
+//    "search_seconds":s,"checksum":"<32 hex digits>"}
 // Doubles use 17 significant digits and round-trip exactly; non-finite
-// ones have no JSON spelling, so the writer refuses them.
+// ones have no JSON spelling, so the writer refuses them. `checksum` is
+// the util::Hash128 of the compact spelling of every other key: a record
+// whose decoded content does not match it is corrupt.
 //
 // The format is versioned: `version` is the FIRST key and readers reject
 // any mismatch before touching the rest of the payload (throwing
@@ -67,7 +69,8 @@ sharding::ShardingPlan plan_from_json(const ir::TapGraph& tg,
 
 /// Bump whenever PlanRecord's layout OR any planning semantics change
 /// (pattern catalog, cost model, search order) — stale plans must miss.
-inline constexpr int kPlanRecordVersion = 2;
+/// Version 3 added the content checksum.
+inline constexpr int kPlanRecordVersion = 3;
 
 /// A well-formed record whose version is not kPlanRecordVersion: written
 /// by other code, not corrupt. The plan cache deletes such files instead
@@ -101,7 +104,8 @@ std::string plan_record_to_json(const ir::TapGraph& tg,
 /// kPlanRecordVersion (StalePlanRecordError otherwise), the keys and tuple
 /// sizes must be exactly the writer's, the choice vector must cover every
 /// GraphNode, and every index must select an applicable pattern under the
-/// record's mesh. Throws CheckError otherwise.
+/// record's mesh, and the checksum must match the decoded content. Throws
+/// CheckError otherwise.
 PlanRecord plan_record_from_json(const ir::TapGraph& tg,
                                  const std::string& json);
 

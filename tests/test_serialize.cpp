@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <sstream>
 
@@ -114,9 +115,10 @@ TEST(Serialize, WhitespaceTolerant) {
 // PlanRecord (the service plan-cache payload)
 // ---------------------------------------------------------------------------
 
-/// `rec` spelled the way the version-2 writer spelled records before
-/// writers went compact: two-space indent, ", " separators.
-std::string whitespaced_record(const PlanRecord& rec) {
+/// `rec` spelled with two-space indent and ", " separators, the way
+/// records were written before writers went compact. The checksum covers
+/// the canonical content, so the spelling does not change it.
+std::string whitespaced_record(const Fixture& f, const PlanRecord& rec) {
   auto exact = [](double v) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -141,8 +143,12 @@ std::string whitespaced_record(const PlanRecord& rec) {
     os << (i ? ", " : "") << "[\"" << rec.timings[i].pass << "\", "
        << exact(rec.timings[i].seconds) << "]";
   }
+  const std::string checksum =
+      util::JsonValue::parse(plan_record_to_json(f.tg, rec))
+          .at("checksum")
+          .as_string();
   os << "],\n  \"search_seconds\": " << exact(rec.search_seconds)
-     << "\n}\n";
+     << ",\n  \"checksum\": \"" << checksum << "\"\n}\n";
   return os.str();
 }
 
@@ -197,7 +203,7 @@ TEST(PlanRecord, RoundTripsEverythingExactly) {
 
   // Files written before writers went compact stay readable: the same
   // record in the whitespaced spelling decodes to the same record.
-  PlanRecord legacy = plan_record_from_json(f.tg, whitespaced_record(rec));
+  PlanRecord legacy = plan_record_from_json(f.tg, whitespaced_record(f, rec));
   EXPECT_EQ(plan_record_to_json(f.tg, legacy), plan_record_to_json(f.tg, rec));
 }
 
@@ -219,6 +225,37 @@ TEST(PlanRecord, RoundTripsAwkwardDoubles) {
   // JSON cannot spell inf, so the writer refuses it.
   rec.cost.overlappable_comm_s = kInvalidPlanCost;
   EXPECT_THROW(plan_record_to_json(f.tg, rec), CheckError);
+}
+
+TEST(PlanRecord, ChecksumRejectsEditsThatStillValidate) {
+  Fixture f(2);
+  const PlanRecord rec = searched_record(f);
+  const std::string json = plan_record_to_json(f.tg, rec);
+  ASSERT_NO_THROW(plan_record_from_json(f.tg, json));
+
+  // Pattern 0 exists for every GraphNode, so zeroed choices stay in
+  // range: only the checksum can tell.
+  std::string zeroed = json;
+  const auto open = zeroed.find('[', zeroed.find("\"choice\""));
+  const auto close = zeroed.find(']', open);
+  for (auto i = open + 1; i < close; ++i)
+    if (std::isdigit(static_cast<unsigned char>(zeroed[i]))) zeroed[i] = '0';
+  ASSERT_NE(zeroed, json);
+  EXPECT_THROW(plan_record_from_json(f.tg, zeroed), CheckError);
+
+  // One more valid plan counted in the statistics.
+  const std::string stats = "\"stats\":[";
+  std::string recounted = json;
+  const auto at = recounted.find(stats) + stats.size();
+  recounted.insert(at, "1");
+  EXPECT_THROW(plan_record_from_json(f.tg, recounted), CheckError);
+
+  // A checksum that is not a string is malformed too.
+  const auto sum = json.find("\"checksum\":");
+  ASSERT_NE(sum, std::string::npos);
+  EXPECT_THROW(plan_record_from_json(f.tg, json.substr(0, sum) +
+                                                "\"checksum\":7}"),
+               CheckError);
 }
 
 TEST(PlanRecord, VersionIsFirstKeyAndMismatchRejected) {

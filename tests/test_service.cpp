@@ -531,6 +531,56 @@ TEST(PlannerService, OutOfRangeDiskRecordIsQuarantined) {
   EXPECT_EQ(svc.stats().searches, 0u);
 }
 
+TEST(PlannerService, TamperedDiskRecordIsQuarantinedAndReSearched) {
+  // Swapping pattern choices keeps every index in range, so only the
+  // record's checksum can tell the plan is not the one the search chose.
+  Graph g = models::build_transformer(models::t5_with_layers(4));
+  ir::TapGraph tg = ir::lower(g);
+  core::TapOptions opts = small_cluster_opts();
+  const PlanRequest req{&tg, opts, false};
+  std::string cold_bytes;
+  {
+    PlannerService cold;
+    cold_bytes = plan_response_json(tg, cold.key_for(req), cold.plan(req));
+  }
+
+  TempDir dir("tampered");
+  ServiceOptions sopts;
+  sopts.cache.disk_dir = dir.path;
+  sopts.request_threads = 1;
+  const std::string file =
+      plan_then_edit_record(tg, opts, sopts, [](std::string* payload) {
+        const auto open = payload->find('[', payload->find("\"choice\""));
+        const auto close = payload->find(']', open);
+        ASSERT_NE(close, std::string::npos);
+        // Choices are single digits between '[' / ',' and ',' / ']'.
+        int swapped = 0;
+        for (auto i = open + 1; i < close; i += 2) {
+          char& c = (*payload)[i];
+          if (c != '1' && c != '2') continue;
+          c = c == '1' ? '2' : '1';
+          ++swapped;
+        }
+        ASSERT_GT(swapped, 0);
+      });
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+  {
+    PlannerService svc(sopts);
+    const core::TapResult r = svc.plan(req);
+    EXPECT_EQ(svc.cache_stats().disk_hits, 0u);
+    EXPECT_EQ(svc.cache_stats().quarantined, 1u);
+    EXPECT_EQ(svc.stats().searches, 1u);
+    EXPECT_TRUE(fs::exists(file + ".quarantine"));
+    EXPECT_EQ(plan_response_json(tg, svc.key_for(req), r), cold_bytes);
+  }
+  // The re-search rewrote a good record: the next lookup hits it.
+  PlannerService svc(sopts);
+  const core::TapResult r = svc.plan(req);
+  EXPECT_EQ(svc.cache_stats().disk_hits, 1u);
+  EXPECT_EQ(plan_response_json(tg, svc.key_for(req), r), cold_bytes);
+}
+
 TEST(PlannerService, CachedExplainMatchesColdReport) {
   // A report built from a cached plan must be the cold report, byte for
   // byte — search coverage included, which the record has to carry since
