@@ -251,10 +251,17 @@ std::optional<HttpMessage> PlanHandler::admit(const HttpMessage& req,
   try {
     spec = is_plan ? service::model_spec_from_json(req.body)
                    : service::model_spec_from_query(req.target);
-  } catch (const std::exception& e) {
+  } catch (const CheckError& e) {
+    // The check's message names the field; its expression and source
+    // location stay in the process.
     metrics().bad_requests->add();
     obs::set_record_field(rec.reason, sizeof rec.reason, "bad_spec");
-    return error_response(400, e.what());
+    return error_response(
+        400, e.message().empty() ? "invalid plan request" : e.message());
+  } catch (const std::exception&) {
+    metrics().bad_requests->add();
+    obs::set_record_field(rec.reason, sizeof rec.reason, "bad_spec");
+    return error_response(400, "invalid plan request");
   }
   out->plan_req = {&model_for(spec)->tg,
                    service::options_for_spec(spec, opts_.search_threads),

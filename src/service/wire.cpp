@@ -1,5 +1,6 @@
 #include "service/wire.h"
 
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <utility>
@@ -73,29 +74,40 @@ ModelSpec model_spec_from_json(const std::string& json) {
   TAP_CHECK(doc.kind() == util::JsonValue::Kind::kObject)
       << "plan request must be a JSON object";
   ModelSpec spec;
-  // Integral and in range (as_int32 / as_int): 1.9 layers is an error,
-  // not 1 layer.
-  auto number = [](const std::string& key,
-                   const util::JsonValue& v) -> const util::JsonValue& {
-    TAP_CHECK(v.kind() == util::JsonValue::Kind::kNumber)
-        << "'" << key << "' must be a number";
-    return v;
+  // Integral and in range, with the field named in the error: 1.9 layers
+  // is an error, not 1 layer.
+  auto integer = [](const std::string& key, const util::JsonValue& v,
+                    double limit) {
+    TAP_CHECK(v.kind() == util::JsonValue::Kind::kNumber &&
+              v.as_number() == std::floor(v.as_number()))
+        << "'" << key << "' must be an integer";
+    TAP_CHECK(std::fabs(v.as_number()) < limit)
+        << "'" << key << "' is out of range";
+    return static_cast<std::int64_t>(v.as_number());
+  };
+  auto int32 = [&](const std::string& key, const util::JsonValue& v) {
+    return static_cast<int>(integer(key, v, 0x1p31));
+  };
+  auto int64 = [&](const std::string& key, const util::JsonValue& v) {
+    return integer(key, v, 0x1p63);
   };
   for (const auto& [key, value] : doc.members()) {
     if (key == "model") {
+      TAP_CHECK(value.kind() == util::JsonValue::Kind::kString)
+          << "'model' must be a string";
       spec.model = value.as_string();
     } else if (key == "layers") {
-      spec.layers = number(key, value).as_int32();
+      spec.layers = int32(key, value);
     } else if (key == "classes") {
-      spec.classes = number(key, value).as_int();
+      spec.classes = int64(key, value);
     } else if (key == "batch") {
-      spec.batch = number(key, value).as_int();
+      spec.batch = int64(key, value);
     } else if (key == "nodes") {
-      spec.nodes = number(key, value).as_int32();
+      spec.nodes = int32(key, value);
     } else if (key == "gpus") {
-      spec.gpus = number(key, value).as_int32();
+      spec.gpus = int32(key, value);
     } else if (key == "deadline_ms") {
-      spec.deadline_ms = number(key, value).as_int();
+      spec.deadline_ms = int64(key, value);
     } else if (key == "mesh") {
       if (value.kind() == util::JsonValue::Kind::kString) {
         parse_mesh_string(value.as_string(), &spec);
@@ -103,8 +115,8 @@ ModelSpec model_spec_from_json(const std::string& json) {
         TAP_CHECK(value.kind() == util::JsonValue::Kind::kArray &&
                   value.items().size() == 2)
             << "'mesh' must be \"auto\", \"DPxTP\", or [dp, tp]";
-        spec.dp = number(key, value.items()[0]).as_int32();
-        spec.tp = number(key, value.items()[1]).as_int32();
+        spec.dp = int32(key, value.items()[0]);
+        spec.tp = int32(key, value.items()[1]);
       }
     } else {
       // Strict by design: a typo'd knob must fail loudly, not silently

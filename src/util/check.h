@@ -17,7 +17,18 @@ namespace tap {
 /// on it without catching unrelated std::runtime_errors.
 class CheckError : public std::runtime_error {
  public:
-  explicit CheckError(const std::string& what) : std::runtime_error(what) {}
+  explicit CheckError(const std::string& what)
+      : std::runtime_error(what), message_(what) {}
+  CheckError(const std::string& what, std::string message)
+      : std::runtime_error(what), message_(std::move(message)) {}
+
+  /// The streamed context alone ("'layers' must be an integer"), without
+  /// the failed expression or source location: what may be shown to a
+  /// client outside the process. Empty for a bare TAP_CHECK.
+  const std::string& message() const { return message_; }
+
+ private:
+  std::string message_;
 };
 
 namespace detail {
@@ -27,7 +38,7 @@ namespace detail {
   std::ostringstream os;
   os << "TAP_CHECK failed: " << expr << " at " << file << ":" << line;
   if (!msg.empty()) os << " — " << msg;
-  throw CheckError(os.str());
+  throw CheckError(os.str(), msg);
 }
 
 // Streamable message collector so TAP_CHECK(x) << "context" works.

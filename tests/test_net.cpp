@@ -18,6 +18,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <optional>
@@ -562,6 +563,34 @@ TEST(Wire, NonIntegralSpecNumbersAre400) {
   get.method = "GET";
   get.target = "/explain?model=t5&layers=4294967297";
   EXPECT_EQ(handler.handle(get).status, 400);
+}
+
+TEST(Wire, BadSpecBodyNamesTheFieldAndHidesInternals) {
+  // A 400 tells the client which field is wrong; the failed check's
+  // expression and the build's source paths stay in the process.
+  service::PlannerService svc;
+  PlanHandler handler(&svc, {});
+  HttpMessage post;
+  post.method = "POST";
+  post.target = "/plan";
+  for (const auto& [body, field] :
+       std::vector<std::pair<std::string, std::string>>{
+           {R"({"model":"t5","layers":1.9})", "'layers'"},
+           {R"({"model":"t5","batch":"16"})", "'batch'"},
+           {R"({"model":"t5","nodes":1e300})", "'nodes'"},
+           {R"({"model":"t5","mesh":[2.5,4]})", "'mesh'"},
+           {R"({"model":7})", "'model'"},
+           {R"({"model":"t5","colour":1})", "'colour'"}}) {
+    post.body = body;
+    const HttpMessage resp = handler.handle(post);
+    EXPECT_EQ(resp.status, 400) << body;
+    const std::string error =
+        util::JsonValue::parse(resp.body).at("error").as_string();
+    EXPECT_NE(error.find(field), std::string::npos) << resp.body;
+    EXPECT_EQ(resp.body.find("TAP_CHECK"), std::string::npos) << resp.body;
+    EXPECT_EQ(resp.body.find("/src/"), std::string::npos) << resp.body;
+    EXPECT_EQ(resp.body.find(".cpp"), std::string::npos) << resp.body;
+  }
 }
 
 /// One small fixed-mesh problem the end-to-end tests share (fixed mesh
