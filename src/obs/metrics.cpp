@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstring>
 #include <sstream>
 
 #include "util/check.h"
+#include "util/json.h"
 
 namespace tap::obs {
 
@@ -197,42 +199,39 @@ Histogram* MetricsRegistry::histogram(std::string_view name,
 }
 
 std::string MetricsRegistry::dump_json() const {
+  using util::JsonValue;
+  // Non-finite gauge values have no JSON spelling: null.
+  auto number = [](double v) {
+    return std::isfinite(v) ? JsonValue::number(v) : JsonValue();
+  };
   std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream os;
-  os << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << name << "\":" << c->value();
-  }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << name << "\":" << json_number(g->value());
-  }
-  os << "},\"histograms\":{";
-  first = true;
+  JsonValue counters = JsonValue::object();
+  for (const auto& [name, c] : counters_)
+    counters.set(name, JsonValue::number(static_cast<double>(c->value())));
+  JsonValue gauges = JsonValue::object();
+  for (const auto& [name, g] : gauges_) gauges.set(name, number(g->value()));
+  JsonValue histograms = JsonValue::object();
   for (const auto& [name, h] : histograms_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << name << "\":{\"count\":" << h->count()
-       << ",\"sum\":" << json_number(h->sum()) << ",\"buckets\":[";
+    JsonValue buckets = JsonValue::array();
     for (std::size_t i = 0; i <= h->bounds().size(); ++i) {
-      if (i > 0) os << ",";
-      os << "{\"le\":";
-      if (i < h->bounds().size())
-        os << json_number(h->bounds()[i]);
-      else
-        os << "\"inf\"";
-      os << ",\"count\":" << h->bucket_count(i) << "}";
+      JsonValue bucket = JsonValue::object();
+      bucket.set("le", i < h->bounds().size() ? number(h->bounds()[i])
+                                              : JsonValue::string("inf"));
+      bucket.set("count",
+                 JsonValue::number(static_cast<double>(h->bucket_count(i))));
+      buckets.push_back(std::move(bucket));
     }
-    os << "]}";
+    JsonValue hist = JsonValue::object();
+    hist.set("count", JsonValue::number(static_cast<double>(h->count())));
+    hist.set("sum", number(h->sum()));
+    hist.set("buckets", std::move(buckets));
+    histograms.set(name, std::move(hist));
   }
-  os << "}}";
-  return os.str();
+  JsonValue doc = JsonValue::object();
+  doc.set("counters", std::move(counters));
+  doc.set("gauges", std::move(gauges));
+  doc.set("histograms", std::move(histograms));
+  return doc.dump();
 }
 
 std::string MetricsRegistry::dump_prometheus() const {

@@ -26,6 +26,7 @@
 #include "sim/trace.h"
 #include "util/check.h"
 #include "util/json.h"
+#include "util/json.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -140,6 +141,38 @@ TEST(ObsMetrics, DumpJsonShapeAndReset) {
   reg.reset();
   EXPECT_EQ(c->value(), 0u) << "reset zeroes values, handles stay valid";
   EXPECT_EQ(reg.histogram("h.ms")->count(), 0u);
+}
+
+TEST(ObsMetrics, DumpJsonEscapesNamesAndParsesBack) {
+  // Metric names are free-form strings; the dump must stay valid JSON
+  // whatever they contain.
+  MetricsRegistry reg;
+  const std::string awkward = "quote\"back\\slash";
+  reg.counter(awkward)->add(3);
+  reg.gauge(awkward + ".g")->set(1.5);
+  reg.histogram(awkward + ".h", std::vector<double>{1.0})->observe(2.0);
+  const util::JsonValue doc = util::JsonValue::parse(reg.dump_json());
+  EXPECT_EQ(doc.at("counters").at(awkward).as_int(), 3);
+  EXPECT_EQ(doc.at("gauges").at(awkward + ".g").as_number(), 1.5);
+  const util::JsonValue& h = doc.at("histograms").at(awkward + ".h");
+  EXPECT_EQ(h.at("count").as_int(), 1);
+  EXPECT_EQ(h.at("buckets").items().back().at("le").as_string(), "inf");
+  EXPECT_EQ(h.at("buckets").items().back().at("count").as_int(), 1);
+}
+
+TEST(ObsTrace, ChromeTraceEscapesNamesAndParsesBack) {
+  TraceEvent e;
+  e.name = "quote\"back\\slash";
+  e.category = "cat\"";
+  e.args["k\\"] = "v\"";
+  const util::JsonValue doc = util::JsonValue::parse(
+      chrome_trace_json({e}, {{0, "proc\"name"}}));
+  const auto& events = doc.at("traceEvents").items();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].at("args").at("name").as_string(), "proc\"name");
+  EXPECT_EQ(events[1].at("name").as_string(), e.name);
+  EXPECT_EQ(events[1].at("cat").as_string(), e.category);
+  EXPECT_EQ(events[1].at("args").at("k\\").as_string(), "v\"");
 }
 
 TEST(ObsMetrics, PrometheusDump) {
