@@ -48,6 +48,15 @@ int main() {
     report.add(prefix + "tap_ms", tap.search_seconds * 1e3);
     report.add(prefix + "tap_candidates",
                static_cast<double>(tap.candidate_plans));
+    // FamilySearch wall time per candidate scored: the per-candidate
+    // cost Table 2's complexity argument rests on.
+    double family_search_s = 0.0;
+    for (const core::PassTiming& t : tap.pass_timings)
+      if (t.pass == "FamilySearch") family_search_s = t.seconds;
+    report.add(prefix + "tap_ns_per_candidate",
+               family_search_s * 1e9 /
+                   static_cast<double>(std::max<std::int64_t>(
+                       1, tap.candidate_plans)));
     report.add(prefix + "alpa_ms", alpa.search_seconds * 1e3);
     report.add(prefix + "speedup_wall",
                alpa.search_seconds / tap.search_seconds);

@@ -111,7 +111,6 @@ class WindowTerms {
               const sharding::PatternTable* table = nullptr);
 
   int num_shards() const { return num_shards_; }
-  int dp_replicas() const { return dp_replicas_; }
 
  private:
   friend double backward_compute_window(

@@ -160,21 +160,6 @@ TEST(ObsMetrics, DumpJsonEscapesNamesAndParsesBack) {
   EXPECT_EQ(h.at("buckets").items().back().at("count").as_int(), 1);
 }
 
-TEST(ObsTrace, ChromeTraceEscapesNamesAndParsesBack) {
-  TraceEvent e;
-  e.name = "quote\"back\\slash";
-  e.category = "cat\"";
-  e.args["k\\"] = "v\"";
-  const util::JsonValue doc = util::JsonValue::parse(
-      chrome_trace_json({e}, {{0, "proc\"name"}}));
-  const auto& events = doc.at("traceEvents").items();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].at("args").at("name").as_string(), "proc\"name");
-  EXPECT_EQ(events[1].at("name").as_string(), e.name);
-  EXPECT_EQ(events[1].at("cat").as_string(), e.category);
-  EXPECT_EQ(events[1].at("args").at("k\\").as_string(), "v\"");
-}
-
 TEST(ObsMetrics, PrometheusDump) {
   MetricsRegistry reg;
   reg.counter("cache.mem.hits")->add(3);

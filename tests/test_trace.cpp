@@ -6,6 +6,7 @@
 #include "ir/lowering.h"
 #include "models/models.h"
 #include "sim/simulator.h"
+#include "util/json.h"
 
 namespace tap::sim {
 namespace {
@@ -14,7 +15,11 @@ TEST(Trace, ChromeJsonWellFormed) {
   Trace t;
   t.add("matmul", "forward", 0.001, 0.002, 0);
   t.add("allreduce \"x\"", "comm", 0.003, 0.004, 1);
+  t.add("back\\slash", "comm\"", 0.005, 0.001, 1);
   std::string json = t.to_chrome_json();
+  const util::JsonValue doc = util::JsonValue::parse(json);
+  EXPECT_EQ(doc.at("traceEvents").items().back().at("name").as_string(),
+            "back\\slash");
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ts\":1000"), std::string::npos);   // 0.001s = 1000us
