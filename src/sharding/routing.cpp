@@ -432,7 +432,7 @@ ir::GraphNodeId subgraph_exit_member(
 }
 
 std::string comm_reason(const ir::TapGraph& tg, const RoutedPlan& routed,
-                        const CommEvent& e, const PatternTable* table) {
+                        const CommEvent& e) {
   using Why = CommEvent::Why;
   const char* prefix = "";
   switch (e.why) {
@@ -466,13 +466,9 @@ std::string comm_reason(const ir::TapGraph& tg, const RoutedPlan& routed,
   const auto c = static_cast<std::size_t>(
       routed.pattern_index[static_cast<std::size_t>(e.node)]);
   std::string out = prefix;
-  if (table != nullptr) {
-    out += table->at(e.node)[c].name;
-  } else {
-    out += patterns_for(tg, e.node, routed.num_shards,
-                        std::max(1, routed.dp_replicas))[c]
-               .name;
-  }
+  out += patterns_for(tg, e.node, routed.num_shards,
+                      std::max(1, routed.dp_replicas))[c]
+             .name;
   return out;
 }
 

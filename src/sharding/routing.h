@@ -182,11 +182,10 @@ ir::GraphNodeId subgraph_exit_member(
     const ir::TapGraph& tg, const std::vector<ir::GraphNodeId>& members);
 
 /// The label of a routed collective, e.g. "reshard S(1)->R",
-/// "pattern:split_col" or "wgrad:dp-shard:split_row". Pattern names are
-/// looked up through `routed.pattern_index` in `table` (or rebuilt with
-/// patterns_for when it is null), so only diagnostics pay for the string.
+/// "pattern:split_col" or "wgrad:dp-shard:split_row". Pattern names come
+/// from patterns_for through `routed.pattern_index`, so only diagnostics
+/// pay for the string.
 std::string comm_reason(const ir::TapGraph& tg, const RoutedPlan& routed,
-                        const CommEvent& e,
-                        const PatternTable* table = nullptr);
+                        const CommEvent& e);
 
 }  // namespace tap::sharding
